@@ -235,7 +235,7 @@ def _cmd_bc_check(args) -> int:
     _positive(args.mmax, "mmax")
     _positive(args.jobs, "jobs")
     ctx = _context(args)
-    report = bc_report(ctx, args.mmax, jobs=args.jobs)
+    report = bc_report(ctx, args.mmax)
     if args.format == "csv":
         rows = [(r["class"], r["m"], r["residual"],
                  "true" if r["pass"] else "false")
@@ -373,7 +373,8 @@ def build_parser() -> _Parser:
     p.add_argument("--mmax", type=int, required=True,
                    help="largest index in the sweep")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads; output is identical for any J")
+                   help="accepted for existing command lines; the sweep "
+                        "always runs serially")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_bc_check)
 

@@ -21,15 +21,14 @@ exceed 2^53, split into 26-bit halves when single words could).
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
 
 import numpy as np
-from sympy import divisors, isprime
+from sympy import divisors, factorint, isprime
 
 from .heckechar import CharBuildError, build_char
-from .padic import PadicNumber, epsilon_A, iwasawa_log, sigma_A
+from .padic import PadicNumber, _vp, epsilon_A, iwasawa_log, sigma_A
 from .polykit import h_poly
 from .quadfield import (class_index_of_ideal, class_norm, count_rA,
                         ideal_conj, ideal_of_form, kronecker, split_type,
@@ -39,23 +38,15 @@ GUARD = 10
 _MASK26 = (1 << 26) - 1
 # crude but provable bound on the number of lattice points of a given norm
 # (2 * sum over divisors of |kronecker| <= 2 * d(n), and d(n) < 2^11 for
-# n < 10^9); keeps every float64 bin sum exact
+# n < 10^9, which _ThetaBank._scan enforces through _QMAX_LIMIT); keeps
+# every float64 bin sum exact
 _COUNT_BOUND = 1 << 12
+_QMAX_LIMIT = 10 ** 9
 _BLOCK_CELLS = 4_000_000
 
 
 class HeightError(ValueError):
     pass
-
-
-def _vp(n: int, p: int) -> int:
-    if n == 0:
-        return 0
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 class PrecisionLedger:
@@ -74,36 +65,6 @@ class PrecisionLedger:
     def to_json(self) -> dict:
         return {"entries": [{"source": s, "digits": d} for s, d in self.entries],
                 "total": self.total}
-
-
-class ClassSeq:
-    """Lock-protected lazy map (class_index, m) -> PadicNumber.
-
-    Fills are idempotent and happen at most once per key; concurrent readers
-    either hit the cache or serialize on the fill lock.
-    """
-
-    def __init__(self, ctx, fill):
-        self.ctx = ctx
-        self._fill = fill
-        self._cache = {}
-        self._lock = threading.RLock()
-
-    def value(self, class_index: int, m: int) -> PadicNumber:
-        key = (class_index, m)
-        v = self._cache.get(key)
-        if v is not None:
-            return v
-        with self._lock:
-            v = self._cache.get(key)
-            if v is None:
-                v = self._fill(class_index, m)
-                self._cache[key] = v
-            return v
-
-    def clear(self):
-        with self._lock:
-            self._cache.clear()
 
 
 def _weight_bound(umax: int, vmax: int, D: int, ell: int):
@@ -219,6 +180,9 @@ class _ThetaBank:
         if qmax < 1:
             self.dense_hi = dense_hi
             return
+        if qmax >= _QMAX_LIMIT:
+            raise HeightError(f"lattice norms up to {qmax} exceed the float64 "
+                              f"exactness bound {_QMAX_LIMIT}")
         smax = isqrt(4 * c * qmax // aD) + 1
         tmax = isqrt(4 * a * qmax // aD) + 1
         umax = 2 * a * smax + abs(b) * tmax
@@ -311,7 +275,7 @@ class HeightContext:
         if split_type(D, p) != "split":
             raise HeightError(f"p = {p} is {split_type(D, p)} in Q(sqrt({D})), "
                               "but a split prime is required")
-        for q in sorted(set(_prime_factors(level))):
+        for q in sorted(factorint(level)):
             if split_type(D, q) != "split":
                 raise HeightError(f"level factor {q} is {split_type(D, q)} in "
                                   f"Q(sqrt({D})), but every prime of N must split")
@@ -356,7 +320,6 @@ class HeightContext:
         self.shat = self.chi.s_D.residue(self.W)
         self._dense_cap = max(dense_budget // (16 * self.h), 10_000)
 
-        self._lock = threading.RLock()
         self._banks = {}
         self._pair = {}
         self._spf = None
@@ -365,8 +328,6 @@ class HeightContext:
         self._class_const = {}
         self._class_norms = {}
         self._build_eps_tables()
-        self.c_values = ClassSeq(self, lambda ci, m: self._cb(ci, m, 0)[0])
-        self.b_values = ClassSeq(self, lambda ci, m: self._cb(ci, m, 0)[1])
 
     # -- serialization -------------------------------------------------------
 
@@ -498,25 +459,29 @@ class HeightContext:
         byc = {}
         for ci, m in pairs:
             byc.setdefault(ci, set()).add(m)
-        with self._lock:
-            for ci in sorted(byc):
-                self._bank(ci).ensure(sorted(byc[ci]))
+        for ci in sorted(byc):
+            self._bank(ci).ensure(sorted(byc[ci]))
 
     def _class_theta_const(self, class_index: int) -> int:
         v = self._class_const.get(class_index)
         if v is None:
-            ideal = ideal_of_form(self.D, self.group.forms[class_index])
+            form = self.group.forms[class_index]
+            ideal = ideal_of_form(self.D, form)
             chib = self.chi.chi_value(ideal_conj(self.D, ideal)).residue(self.W)
+            if chib % self.p == 0:
+                raise HeightError(
+                    f"hypothesis chi(conjugate ideal of class {class_index}) "
+                    f"is a p-adic unit fails: p = {self.p} divides the norm "
+                    f"{form[0]} of the reduced form {tuple(form)}")
             v = pow(chib * (1 << (self.ell + 1)), -1, self.pW)
             self._class_const[class_index] = v
         return v
 
     def theta_residue(self, class_index: int, m: int, n: int) -> int:
         """r_chi(class, m|D| - nN) mod p^W straight from the lattice bank."""
-        with self._lock:
-            bank = self._bank(class_index)
-            bank.ensure([m])
-            ns, sus, svs = bank.series(m)
+        bank = self._bank(class_index)
+        bank.ensure([m])
+        ns, sus, svs = bank.series(m)
         try:
             i = ns.index(n)
         except ValueError:
@@ -531,74 +496,59 @@ class HeightContext:
         if not (isinstance(m, int) and m >= 1):
             raise HeightError("index m must be a positive integer")
         key = (class_index, m, variant)
-        with self._lock:
-            hit = self._pair.get(key)
-            if hit is not None:
-                return hit
-            bank = self._bank(class_index)
-            bank.ensure([m])
-            ns, sus, svs = bank.series(m)
-            aD, N, p, pW = self.aD, self.level, self.p, self.pW
-            MD = m * aD
-            gam = []
-            for c in self.Hpoly.coeffs:
-                cd = c * self.delta
-                gam.append(cd.numerator)
-                assert cd.denominator == 1
-            mdpow = [MD ** (self.m_H - i) for i in range(self.m_H + 1)]
-            # variant 1 ("h_plus_one"): add 1 to the evaluated weight factor
-            # m^(r-k-1) H(t_n).  The degree-homogeneous replacement H -> H+1
-            # cancels identically in the operator identity (any weight that is
-            # a function of the ratio nN/(m|D|) telescopes), so the effective
-            # fault is the inhomogeneous one.
-            off = self.delta * aD ** self.m_H if variant else 0
-            if ns:
-                self._ensure_spf((MD - 1) // N)
-            shat = self.shat
-            tot_a = 0
-            tot_b = 0
-            sres = self.sigma_res
-            for i in range(len(ns)):
-                t = (sus[i] + svs[i] * shat) % pW
-                if not t:
-                    continue
-                n = ns[i]
-                sg = sres(class_index, n)
-                if not sg:
-                    continue
-                w = MD - 2 * N * n
-                pol = off
-                wp = 1
-                for j in range(self.m_H + 1):
-                    pol += gam[j] * mdpow[j] * wp
-                    wp *= w
-                term = t * sg % pW * pol
-                tot_a += term
-                if n % p:
-                    tot_b += term
-            konst = self._class_theta_const(class_index) * pow(
-                self.delta * aD ** self.m_H, -1, pW) % pW
-            cv = PadicNumber(p, 0, tot_a % pW * konst % pW, self.W)
-            bv = PadicNumber(p, 0, tot_b % pW * konst % pW, self.W)
-            self._pair[key] = (cv, bv)
-            return cv, bv
+        hit = self._pair.get(key)
+        if hit is not None:
+            return hit
+        bank = self._bank(class_index)
+        bank.ensure([m])
+        ns, sus, svs = bank.series(m)
+        aD, N, p, pW = self.aD, self.level, self.p, self.pW
+        MD = m * aD
+        gam = []
+        for c in self.Hpoly.coeffs:
+            cd = c * self.delta
+            gam.append(cd.numerator)
+            assert cd.denominator == 1
+        mdpow = [MD ** (self.m_H - i) for i in range(self.m_H + 1)]
+        # variant 1 ("h_plus_one"): add 1 to the evaluated weight factor
+        # m^(r-k-1) H(t_n).  The degree-homogeneous replacement H -> H+1
+        # cancels identically in the operator identity (any weight that is
+        # a function of the ratio nN/(m|D|) telescopes), so the effective
+        # fault is the inhomogeneous one.
+        off = self.delta * aD ** self.m_H if variant else 0
+        if ns:
+            self._ensure_spf((MD - 1) // N)
+        shat = self.shat
+        tot_a = 0
+        tot_b = 0
+        sres = self.sigma_res
+        for i in range(len(ns)):
+            t = (sus[i] + svs[i] * shat) % pW
+            if not t:
+                continue
+            n = ns[i]
+            sg = sres(class_index, n)
+            if not sg:
+                continue
+            w = MD - 2 * N * n
+            pol = off
+            wp = 1
+            for j in range(self.m_H + 1):
+                pol += gam[j] * mdpow[j] * wp
+                wp *= w
+            term = t * sg % pW * pol
+            tot_a += term
+            if n % p:
+                tot_b += term
+        konst = self._class_theta_const(class_index) * pow(
+            self.delta * aD ** self.m_H, -1, pW) % pW
+        cv = PadicNumber(p, 0, tot_a % pW * konst % pW, self.W)
+        bv = PadicNumber(p, 0, tot_b % pW * konst % pW, self.W)
+        self._pair[key] = (cv, bv)
+        return cv, bv
 
     def class_norm_of(self, class_index: int) -> int:
         return self._class_norms[class_index]
-
-
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -606,12 +556,12 @@ def _prime_factors(n: int):
 
 def c_seq(ctx: HeightContext, class_index: int, m: int) -> PadicNumber:
     """m^(r-k-1) * sum r_chi(m|D| - nN) sigma(n) H(1 - 2nN/(m|D|)), n >= 1."""
-    return ctx.c_values.value(class_index, m)
+    return ctx._cb(class_index, m, 0)[0]
 
 
 def b_seq(ctx: HeightContext, class_index: int, m: int) -> PadicNumber:
     """The same sum restricted to n coprime to p."""
-    return ctx.b_values.value(class_index, m)
+    return ctx._cb(class_index, m, 0)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +638,8 @@ def bc_residual(ctx: HeightContext, class_index: int, m: int,
     return min(d.valuation(), ctx.n_prec)
 
 
-def bc_report(ctx: HeightContext, m_max: int, classes=None, mutate=None,
-              jobs: int = 1) -> dict:
+def bc_report(ctx: HeightContext, m_max: int, classes=None,
+              mutate=None) -> dict:
     """Residuals of the B/C operator identity over all classes and
     1 <= m <= m_max, as a JSON-ready verification report."""
     classes = list(range(ctx.h)) if classes is None else sorted(classes)
@@ -700,13 +650,7 @@ def bc_report(ctx: HeightContext, m_max: int, classes=None, mutate=None,
         pre.extend(_op_pairs(ctx, ci, m, opmut))
     ctx.prefetch(pre)
     threshold = ctx.n_prec - ctx.slack
-    if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            residuals = list(ex.map(
-                lambda cell: bc_residual(ctx, cell[0], cell[1], mutate), cells))
-    else:
-        residuals = [bc_residual(ctx, ci, m, mutate) for ci, m in cells]
+    residuals = [bc_residual(ctx, ci, m, mutate) for ci, m in cells]
     results = [{"class": ci, "m": m, "residual": res, "pass": res >= threshold}
                for (ci, m), res in zip(cells, residuals)]
     return {"identity": "bc-operator",
@@ -723,9 +667,9 @@ def bc_report(ctx: HeightContext, m_max: int, classes=None, mutate=None,
 
 def fourier_am(ctx: HeightContext, class_index: int, m: int, lam=None,
                fast: bool = False) -> PadicNumber:
-    """a_m of the p-adic measure integral: the log-weighted divisor sum form
-    when lam is None, or the general weighting lam applied to the rationals
-    (m|D| - nN) n^2 / (|D| d^2) inside the genus divisor sum.
+    """a_m of the p-adic measure integral: the weighting lam applied to the
+    rationals (m|D| - nN) n^2 / (|D| d^2) inside the genus divisor sum.  The
+    default lam is log_p, which gives the log-weighted form.
 
     The inner argument keeps d^2 in the denominator: the two evaluation
     paths agree to working precision with this ratio and with no other,
@@ -738,30 +682,18 @@ def fourier_am(ctx: HeightContext, class_index: int, m: int, lam=None,
         raise HeightError(f"hypothesis p | m fails: p = {p}, m = {m}")
     if kronecker(ctx.D, N) != 1:
         raise HeightError("hypothesis (D/N) = 1 fails")
+    # with (D/N) = 1 and D < 0, (D/-N) = -1 turns the general constant
+    # (-1)^(r-1) (D/-N) / (binom |D|^k) into this one
     kq = Fraction((-1) ** ctx.r, ctx.binom * aD ** ctx.k)
     if lam is None and fast:
         return b_seq(ctx, class_index, m) * PadicNumber.from_rational(p, kq, W)
+    if lam is None:
+        def lam(x):
+            return iwasawa_log(p, x, W)
     MD = m * aD
     na = ctx.class_norm_of(class_index)
     mh = Fraction(m ** ctx.m_H)
     acc = PadicNumber.zero(p)
-    if lam is None:
-        for n in range(1, MD // N + 1):
-            if n % p == 0:
-                continue
-            j = MD - n * N
-            if j <= 0:
-                continue
-            rv = ctx.chi.r_chi(class_index, j)
-            if rv.is_zero():
-                continue
-            sg = sigma_A(ctx.D, N, na, n, p, W)
-            wgt = PadicNumber.from_rational(
-                p, mh * ctx.Hpoly(Fraction(MD - 2 * n * N, MD)), W)
-            acc = acc + rv * sg * wgt
-        return acc * PadicNumber.from_rational(p, kq, W)
-    kg = Fraction((-1) ** (ctx.r - 1) * kronecker(ctx.D, -N),
-                  ctx.binom * aD ** ctx.k)
     for n in range(1, MD // N + 1):
         if n % p == 0:
             continue
@@ -782,7 +714,7 @@ def fourier_am(ctx: HeightContext, class_index: int, m: int, lam=None,
         wgt = PadicNumber.from_rational(
             p, mh * ctx.Hpoly(Fraction(MD - 2 * n * N, MD)), W)
         acc = acc + rv * wgt * inner
-    return acc * PadicNumber.from_rational(p, kg, W)
+    return acc * PadicNumber.from_rational(p, kq, W)
 
 
 # ---------------------------------------------------------------------------

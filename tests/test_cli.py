@@ -63,6 +63,18 @@ def test_bc_check_inert_p(capsys):
     assert "split" in err
 
 
+def test_bc_check_nonunit_class_character(capsys):
+    # p = 3 divides the leading coefficient of the reduced form (3, -1, 4),
+    # so chi of that class's conjugate ideal is not a unit
+    code, out, err = run_cli(capsys, "bc-check", "--disc", "-47", "--level",
+                             "7", "--p", "3", "--r", "2", "--k", "1",
+                             "--mmax", "3", "--prec", "10")
+    assert code == 2
+    assert out == ""
+    assert "p-adic unit" in err and "(3, -1, 4)" in err
+    assert err.count("\n") == 1
+
+
 def test_fourier_p_divides_m(capsys):
     code, _, err = run_cli(capsys, "fourier", "--disc", "-7", "--level",
                            "23", "--p", "11", "--r", "2", "--k", "1",
@@ -158,7 +170,7 @@ def test_ideals_report(capsys):
 # verification failure exit code (library reports patched to fail)
 
 def test_bc_check_failure_exit1(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "bc_report", lambda ctx, mmax, jobs=1: {
+    monkeypatch.setattr(cli, "bc_report", lambda ctx, mmax: {
         "pass": False, "results": []})
     code, out, _ = run_cli(capsys, "bc-check", "--disc", "-7", "--level",
                            "23", "--p", "11", "--r", "2", "--k", "1",
