@@ -321,10 +321,6 @@ class HeckeChar:
 
     # -- evaluation ----------------------------------------------------------
 
-    def class_value(self, class_index: int):
-        """chi at the canonical (reduced-form) representative of the class."""
-        return self.table[class_index]
-
     def chi_value(self, ideal):
         """chi of an integral ideal (e, a, b)."""
         D = self.D

@@ -16,7 +16,10 @@ coefficient sum, and the end-to-end height/Fourier residual.
 Everything runs in plain integer arithmetic mod p^W with W = n_prec + 10
 guard digits; theta coefficients come from a vectorized lattice enumeration
 whose per-norm sums are exact (the float64 bincount accumulators never
-exceed 2^53, split into 26-bit halves when single words could).
+exceed 2^53, split into 26-bit halves when single words could).  Index m
+only reads norms in the residue class of m|D| mod N, so each class bank
+keeps one strided array per residue (see _ThetaBank), which bounds it by
+the largest requested norm without a memory cap.
 """
 
 from __future__ import annotations
@@ -103,83 +106,76 @@ def _weights(u, v, D: int, ell: int):
 
 class _ThetaBank:
     """Per-class exact sums (SUM U, SUM V) of xbar^ell over lattice points,
-    grouped by the norm ratio n.
+    grouped by norm j.
 
-    Dense storage indexes the theta coefficient argument j directly up to a
-    memory cap; larger indices m get their own strided array over the sum
-    variable n (j = m|D| - nN walks an arithmetic progression, so only every
-    N-th position of the dense range would ever be read)."""
+    Index m reads j = m|D| - nN for 1 <= n < m|D|/N, an arithmetic
+    progression in the residue rho = m|D| mod N.  The bank keeps one
+    strided array per requested residue: position i holds the sums at
+    j = rho + iN, for every j below the largest m|D| requested in that
+    residue, so position K - n of index m (K = (m|D| - rho)/N) is its n-th
+    term.  A residue's array is as long as its largest index alone needs,
+    and the arrays of distinct residues never overlap, so the bank never
+    holds more than one float64 word per part for each j below the largest
+    requested m|D|; it needs no memory cap of its own."""
 
     def __init__(self, ctx, class_index: int):
         self.ctx = ctx
         self.class_index = class_index
         self.form = ctx.group.forms[class_index]
-        self.dense_hi = 0
-        self.dense = None          # (su_parts, sv_parts) float64 arrays
-        self.per_m = {}            # m -> (su_parts, sv_parts) indexed by n
+        self.tops = {}             # rho -> largest m|D| requested in rho
+        self.arrays = {}           # rho -> (su_parts, sv_parts) float64 arrays
         self.split = False
 
     # -- public -------------------------------------------------------------
 
     def ensure(self, m_values):
-        cap = self.ctx._dense_cap
-        aD = self.ctx.aD
-        want_dense = self.dense_hi
-        new_ms = []
+        aD, N = self.ctx.aD, self.ctx.level
+        tops = dict(self.tops)
         for m in m_values:
             if m < 1:
                 raise HeightError("index m must be >= 1")
-            if m * aD <= cap:
-                want_dense = max(want_dense, m * aD)
-            elif m not in self.per_m:
-                new_ms.append(m)
-        if want_dense > self.dense_hi or new_ms:
-            all_ms = sorted(set(self.per_m) | set(new_ms))
-            self._scan(want_dense, all_ms)
+            MD = m * aD
+            rho = MD % N
+            tops[rho] = max(tops.get(rho, 0), MD)
+        if tops != self.tops:
+            self._scan(tops)
 
     def series(self, m: int):
         """(ns, sus, svs) python lists: the n with a nonzero lattice sum for
         index m, with exact integer SUM U, SUM V values."""
-        aD = self.ctx.aD
         N = self.ctx.level
-        MD = m * aD
-        if m in self.per_m:
-            su_parts, sv_parts = self.per_m[m]
-        elif MD <= self.dense_hi:
-            nmax = (MD - 1) // N
-            js = MD - N * np.arange(1, nmax + 1, dtype=np.int64)
-            dsu, dsv = self.dense
-            su_parts = tuple(_pad_front(a[js]) for a in dsu)
-            sv_parts = tuple(_pad_front(a[js]) for a in dsv)
-        else:
+        MD = m * self.ctx.aD
+        rho = MD % N
+        if MD > self.tops.get(rho, 0):
             raise HeightError("theta bank not prepared for this index")
+        # positions K-1 .. 0 reversed: view index i is n = i + 1
+        K = (MD - rho) // N
+        su_parts, sv_parts = (tuple(a[:K][::-1] for a in parts)
+                              for parts in self.arrays[rho])
         # recombine in python ints: a 26-bit hi sum shifted back up can pass
         # 2^63, and the float64 parts themselves are exact by construction
         if self.split:
             sl, sh = su_parts
             vl, vh = sv_parts
             mask = (sl != 0) | (sh != 0) | (vl != 0) | (vh != 0)
-            ns = np.nonzero(mask)[0]
-            sus = [int(sl[i]) + (int(sh[i]) << 26) for i in ns]
-            svs = [int(vl[i]) + (int(vh[i]) << 26) for i in ns]
+            idx = np.nonzero(mask)[0]
+            sus = [int(sl[i]) + (int(sh[i]) << 26) for i in idx]
+            svs = [int(vl[i]) + (int(vh[i]) << 26) for i in idx]
         else:
             su, sv = su_parts[0], sv_parts[0]
             mask = (su != 0) | (sv != 0)
-            ns = np.nonzero(mask)[0]
-            sus = [int(x) for x in su[ns]]
-            svs = [int(x) for x in sv[ns]]
-        return ns.tolist(), sus, svs
+            idx = np.nonzero(mask)[0]
+            sus = [int(x) for x in su[idx]]
+            svs = [int(x) for x in sv[idx]]
+        return (idx + 1).tolist(), sus, svs
 
     # -- internals ------------------------------------------------------------
 
-    def _scan(self, dense_hi, m_values):
+    def _scan(self, tops):
         ctx = self.ctx
         aD, N, ell = ctx.aD, ctx.level, ctx.ell
         a, b, c = self.form
-        qmax = max([dense_hi] + [m * aD for m in m_values], default=0)
-        if qmax < 1:
-            self.dense_hi = dense_hi
-            return
+        qmax = max(tops.values())
         if qmax >= _QMAX_LIMIT:
             raise HeightError(f"lattice norms up to {qmax} exceed the float64 "
                               f"exactness bound {_QMAX_LIMIT}")
@@ -191,53 +187,37 @@ class _ThetaBank:
             raise HeightError("lattice weights exceed the 64-bit exact range")
         self.split = max(bu, bv) * _COUNT_BOUND >= 1 << 53
         nparts = 2 if self.split else 1
-
-        def alloc(length):
-            return (tuple(np.zeros(length, dtype=np.float64) for _ in range(nparts)),
-                    tuple(np.zeros(length, dtype=np.float64) for _ in range(nparts)))
-
-        dense = alloc(dense_hi + 1) if dense_hi else None
-        per_m = {m: alloc((m * aD - 1) // N + 1) for m in m_values}
-        rhos = {}
-        for m in m_values:
-            rhos.setdefault((m * aD) % N, []).append(m)
+        # the residue arrays are consecutive slices of one flat store, so a
+        # single bincount per block bins the points of every residue; a
+        # point of norm q in residue rho sits at start[rho] + q // N
+        start = np.zeros(N, dtype=np.int64)
+        top_of = np.zeros(N, dtype=np.int64)
+        spans = {}
+        total = 0
+        for rho in sorted(tops):
+            start[rho], top_of[rho] = total, tops[rho]
+            spans[rho] = slice(total, total + (tops[rho] - rho) // N)
+            total = spans[rho].stop
+        flat = tuple(tuple(np.zeros(total, dtype=np.float64)
+                           for _ in range(nparts)) for _ in range(2))
 
         chunk = max(1, _BLOCK_CELLS // (2 * tmax + 1))
         T = np.arange(-tmax, tmax + 1, dtype=np.int64)[None, :]
         for s0 in range(-smax, smax + 1, chunk):
             S = np.arange(s0, min(s0 + chunk, smax + 1), dtype=np.int64)[:, None]
             Q = (a * S) * S + (b * S) * T + (c * T) * T
-            mask = (Q >= 1) & (Q <= qmax)
+            Qn = Q % N
+            mask = (Q >= 1) & (Q < top_of[Qn])
             if not mask.any():
                 continue
-            q = Q[mask]
-            u = ((2 * a) * S + b * T)[mask]
-            v = np.broadcast_to(T, Q.shape)[mask]
-            U, V = _weights(u, v, ctx.D, ell)
-            if dense is not None:
-                dm = q <= dense_hi
-                if dm.any():
-                    self._bin(dense, q[dm], U[dm], V[dm], dense_hi + 1)
-            if rhos:
-                qn = q % N
-                for rho, ms in rhos.items():
-                    sel = qn == rho
-                    if not sel.any():
-                        continue
-                    qr, Ur, Vr = q[sel], U[sel], V[sel]
-                    for m in ms:
-                        MD = m * aD
-                        inr = qr < MD
-                        if not inr.any():
-                            continue
-                        idx = (MD - qr[inr]) // N
-                        self._bin(per_m[m], idx, Ur[inr], Vr[inr],
-                                  (MD - 1) // N + 1)
-        self.dense_hi = dense_hi
-        self.dense = dense
-        self.per_m = per_m
+            U, V = _weights(((2 * a) * S + b * T)[mask],
+                            np.broadcast_to(T, Q.shape)[mask], ctx.D, ell)
+            self._bin(flat, start[Qn[mask]] + Q[mask] // N, U, V)
+        self.tops = tops
+        self.arrays = {rho: tuple(tuple(x[sl] for x in parts) for parts in flat)
+                       for rho, sl in spans.items()}
 
-    def _bin(self, store, idx, U, V, length):
+    def _bin(self, store, idx, U, V):
         su, sv = store
         if self.split:
             parts = ((U & _MASK26, U >> 26), (V & _MASK26, V >> 26))
@@ -246,14 +226,7 @@ class _ThetaBank:
         for arrs, ps in ((su, parts[0]), (sv, parts[1])):
             for arr, w in zip(arrs, ps):
                 arr += np.bincount(idx, weights=w.astype(np.float64),
-                                   minlength=length)
-
-
-def _pad_front(arr):
-    out = np.empty(arr.size + 1, dtype=np.float64)
-    out[0] = 0.0
-    out[1:] = arr
-    return out
+                                   minlength=arr.size)
 
 
 class HeightContext:
@@ -261,8 +234,7 @@ class HeightContext:
     working-precision data, lattice banks and divisor-sum caches."""
 
     def __init__(self, D: int, level: int, p: int, r: int, k: int,
-                 n_prec: int = 30, twist=None,
-                 dense_budget: int = 700_000_000):
+                 n_prec: int = 30, twist=None):
         validate_discriminant(D)
         if not (isinstance(level, int) and level >= 3):
             raise HeightError("level must be an integer >= 3")
@@ -318,7 +290,6 @@ class HeightContext:
         self.chiPb = self.chi.chi_value(Pb)
         self.pW = p ** self.W
         self.shat = self.chi.s_D.residue(self.W)
-        self._dense_cap = max(dense_budget // (16 * self.h), 10_000)
 
         self._banks = {}
         self._pair = {}

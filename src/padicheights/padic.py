@@ -272,14 +272,7 @@ def teichmuller(p: int, x: int, N: int) -> PadicNumber:
     """The (p-1)-st root of unity congruent to x mod p, to precision N."""
     if x % p == 0:
         raise PadicError("Teichmuller lift needs a unit")
-    mod = p ** N
-    t = x % mod
-    while True:
-        t2 = pow(t, p, mod)
-        if t2 == t:
-            break
-        t = t2
-    return PadicNumber(p, 0, t, N)
+    return PadicNumber(p, 0, _teich_int(p, x, p ** N), N)
 
 
 def _teich_int(p: int, x: int, mod: int) -> int:

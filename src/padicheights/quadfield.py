@@ -403,20 +403,6 @@ def compose(f1, f2):
     return form_of_ideal(D, prod)
 
 
-def form_pow(f, e: int):
-    D = form_disc(f)
-    if e < 0:
-        return form_pow(form_inverse(f), -e)
-    out = principal_form(D)
-    base = f
-    while e:
-        if e & 1:
-            out = compose(out, base)
-        base = compose(base, base)
-        e >>= 1
-    return out
-
-
 def form_inverse(f):
     a, b, c = f
     return reduce_form((a, -b, c))
@@ -802,12 +788,6 @@ def class_norm(D: int, class_index: int) -> int:
 # ---------------------------------------------------------------------------
 # admissible parameter search
 
-def split_primes(D: int, bound: int):
-    """Split primes of K up to bound, ascending."""
-    from sympy import primerange
-    return [q for q in primerange(2, bound + 1) if kronecker(D, q) == 1]
-
-
 def admissible_params(D: int, p: int | None = None, n_prime: bool = False,
                       char_ell: int | None = None, search_bound: int = 100000):
     """Smallest (N, p): N >= 3 a product of distinct split primes with
@@ -817,6 +797,9 @@ def admissible_params(D: int, p: int | None = None, n_prime: bool = False,
     Z_p exists (skips obstructed p).
     """
     validate_discriminant(D)
+    if char_ell is not None and (char_ell <= 0 or char_ell % 2):
+        raise QuadFieldError(f"hypothesis ell even and > 0 fails: "
+                             f"ell = {char_ell}")
     fixed_p = p
     if fixed_p is not None:
         if fixed_p == 2 or not isprime(fixed_p) or kronecker(D, fixed_p) != 1:

@@ -147,6 +147,16 @@ def test_params_with_character_constraint(capsys):
     assert json.loads(out) == {"discriminant": -23, "level": 3, "p": 29}
 
 
+@pytest.mark.parametrize("ell", ["3", "0", "-2"])
+def test_params_rejects_bad_character_type(capsys, ell):
+    # no p-adic character of odd or non-positive infinity type exists, so
+    # the search must stop at once instead of walking every (N, p)
+    code, out, err = run_cli(capsys, "params", "--disc", "-7", "--ell", ell)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "ell even and > 0" in err
+
+
 @pytest.mark.parametrize("which", ["combo", "recur", "jacobi"])
 def test_hpoly_checks_pass(capsys, which):
     code, out, _ = run_cli(capsys, "hpoly", "--m", "4", "--k", "2",

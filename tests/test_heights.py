@@ -152,24 +152,24 @@ def _brute_series(form, D, ell, m, aD, level):
 
 
 def test_strided_split_bank_vs_bruteforce():
-    # tiny dense budget forces the per-index storage; the quartic weights at
-    # this size overflow a single float64 word, forcing the 26-bit split
-    ctx = HeightContext(-7, 23, 11, 3, 2, n_prec=30, dense_budget=1)
+    # the quartic weights at this size overflow a single float64 word,
+    # forcing the 26-bit split
+    ctx = HeightContext(-7, 23, 11, 3, 2, n_prec=30)
     m = 40_000
     ctx.prefetch([(0, m)])
     bank = ctx._bank(0)
-    assert m in bank.per_m and bank.split
+    assert bank.split
     ns, sus, svs = bank.series(m)
     want = _brute_series(ctx.group.forms[0], -7, 4, m, 7, 23)
     assert dict(zip(ns, zip(sus, svs))) == want
 
 
 def test_strided_direct_bank_vs_bruteforce():
-    ctx = HeightContext(-7, 23, 11, 2, 1, n_prec=30, dense_budget=1)
+    ctx = HeightContext(-7, 23, 11, 2, 1, n_prec=30)
     m = 2000
     ctx.prefetch([(0, m)])
     bank = ctx._bank(0)
-    assert m in bank.per_m and not bank.split
+    assert not bank.split
     ns, sus, svs = bank.series(m)
     want = _brute_series(ctx.group.forms[0], -7, 2, m, 7, 23)
     assert dict(zip(ns, zip(sus, svs))) == want
@@ -182,13 +182,20 @@ def test_scan_rejects_norms_past_float64_bound(ctx21):
         ctx21.prefetch([(0, 10 ** 9 // 7 + 1)])
 
 
-def test_strided_equals_dense(ctx21):
-    forced = HeightContext(-7, 23, 11, 2, 1, n_prec=30, dense_budget=1)
-    forced.prefetch([(0, 1500)])
-    ctx21.prefetch([(0, 1500)])
-    assert 1500 in forced._bank(0).per_m
-    assert 1500 * 7 <= ctx21._bank(0).dense_hi
-    assert forced._bank(0).series(1500) == ctx21._bank(0).series(1500)
+@given(st.lists(st.integers(min_value=1, max_value=399), min_size=6,
+                max_size=6, unique=True))
+@settings(max_examples=10, deadline=None)
+def test_residue_bank_prefetch_order(ms):
+    # one index at a time: later indices land below a residue's top or open
+    # a new residue, which rescans the bank
+    ctx = HeightContext(-7, 23, 11, 2, 1)
+    bank = ctx._bank(0)
+    for m in ms:
+        ctx.prefetch([(0, m)])
+    for m in ms:
+        ns, sus, svs = bank.series(m)
+        want = _brute_series(ctx.group.forms[0], -7, 2, m, 7, 23)
+        assert dict(zip(ns, zip(sus, svs))) == want
 
 
 # ---------------------------------------------------------------------------
