@@ -123,13 +123,19 @@ def _cmd_theta(args) -> int:
     if args.mode == "padic":
         if args.p is None or args.prec is None:
             raise UsageError("padic mode needs --p and --prec")
+        _positive(args.prec, "prec")
         char = build_char(args.disc, args.ell, "padic", p=args.p,
                           prec=args.prec)
+        if not char.ground:
+            raise UsageError(f"hypothesis chi takes values in Z_p fails: at "
+                             f"p = {args.p} the character needs the "
+                             "quadratic extension")
     elif args.mode == "complex":
         if args.p is not None:
             raise UsageError("--p applies only to padic mode")
         if args.prec is None:
             raise UsageError("complex mode needs --prec")
+        _positive(args.prec, "prec")
         char = build_char(args.disc, args.ell, "complex", prec=args.prec)
     else:
         if args.p is not None or args.prec is not None:

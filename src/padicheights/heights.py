@@ -298,7 +298,7 @@ class HeightContext:
         self._sigma_cache = {}
         self._class_const = {}
         self._class_norms = {}
-        self._build_eps_tables()
+        self._build_splits()
 
     # -- serialization -------------------------------------------------------
 
@@ -309,25 +309,19 @@ class HeightContext:
 
     # -- genus-weighted divisor sums ------------------------------------------
 
-    def _build_eps_tables(self):
-        aD = self.aD
-        self._eps = []
-        self._eps_by_g = {}
-        for pos, g in enumerate(sorted(divisors(aD))):
+    def _build_splits(self):
+        # one genus split D = D1 * D2 per g = |D2| dividing |D|
+        self._splits = []
+        for g in sorted(divisors(self.aD)):
             D2 = g if g % 4 == 1 else -g
-            D1 = self.D // D2
-            aD1 = abs(D1)
-            t1 = tuple(kronecker(D1, i) for i in range(aD1))
-            t2 = tuple(kronecker(D2, i) for i in range(g))
-            sgn2 = -1 if D2 < 0 else 1
-            self._eps.append((g, D2, aD1, t1, t2, sgn2))
-            self._eps_by_g[g] = pos
+            self._splits.append((g, self.D // D2, D2,
+                                 kronecker(D2, -self.level)))
         self._class_sig = []
         for ci in range(self.h):
             na = class_norm(self.D, ci)
             self._class_norms[ci] = na
             self._class_sig.append(tuple(kronecker(D2, na)
-                                         for _, D2, _, _, _, _ in self._eps))
+                                         for _, _, D2, _ in self._splits))
 
     def _ensure_spf(self, limit: int):
         if self._spf is not None and self._spf.size > limit:
@@ -364,7 +358,16 @@ class HeightContext:
         return out
 
     def sigma_res(self, class_index: int, n: int) -> int:
-        """Residue mod p^W of the log-weighted genus divisor sum at n."""
+        """Residue mod p^W of sigma(n) = sum_{d | n} eps(d, n/d) log_p(n/d^2).
+
+        Works from the factorization of n, one genus split D = D1 * D2
+        (|D2| = g) at a time: its d take all of q^e for q | g, none for the
+        other q | D and any power for q prime to D, so it needs g | n.  Prime
+        by prime, A = sum of the signs (D1/d)(D2/(n/d)) and L = sum of the
+        signed log(n/d^2) update as L <- L a_q + A l_q log q, A <- A a_q;
+        each split's L enters times (D2/-N)(D2/na).  padic.sigma_A is the
+        divisor-by-divisor oracle.
+        """
         sig = self._class_sig[class_index]
         cache = self._sigma_cache.get(sig)
         if cache is None:
@@ -374,47 +377,32 @@ class HeightContext:
             return v
         self._ensure_spf(n)
         fac = self._factor_spf(n)
-        logn = 0
-        for q, e in fac:
-            logn += e * self._prime_log(q)
-        divs = [(1, 0, 1)]
         aD = self.aD
-        for q, e in fac:
-            lq = self._prime_log(q)
-            in_d = aD % q == 0
-            new = []
-            for d, ld, g in divs:
-                dd, ll, gg = d, ld, g
-                for i in range(e + 1):
-                    new.append((dd, ll, gg))
-                    if i < e:
-                        dd *= q
-                        ll += lq
-                        if i == 0 and in_d:
-                            gg *= q
-            divs = new
-        N = self.level
         acc = 0
-        eps = self._eps
-        by_g = self._eps_by_g
-        for d, ld, g in divs:
-            pos = by_g[g]
-            _, _, aD1, t1, t2, sgn2 = eps[pos]
-            e1 = t1[d % aD1]
-            if not e1:
+        for (g, D1, D2, sgn), cs in zip(self._splits, sig):
+            if n % g:
                 continue
-            nd = n // d
-            e2 = t2[(nd % g) * (N % g) % g] if g > 1 else 1
-            if not e2:
-                continue
-            e = e1 * e2 * sgn2 * sig[pos]
-            acc += e * (logn - 2 * ld)
+            A, L = 1, 0
+            for q, e in fac:
+                x1 = kronecker(D1, q)
+                x2 = kronecker(D2, q)
+                if g % q == 0:
+                    powers = (e,)
+                elif aD % q == 0:
+                    powers = (0,)
+                else:
+                    powers = range(e + 1)
+                a_q = l_q = 0
+                for i in powers:
+                    s = x1 ** i * x2 ** (e - i)
+                    a_q += s
+                    l_q += s * (e - 2 * i)
+                L = L * a_q + A * l_q * self._prime_log(q)
+                A *= a_q
+            acc += sgn * cs * L
         v = acc % self.pW
         cache[n] = v
         return v
-
-    def sigma_value(self, class_index: int, n: int) -> PadicNumber:
-        return PadicNumber(self.p, 0, self.sigma_res(class_index, n), self.W)
 
     # -- theta bank ------------------------------------------------------------
 

@@ -287,9 +287,9 @@ def _teich_int(p: int, x: int, mod: int) -> int:
 def iwasawa_log(p: int, x, N: int) -> PadicNumber:
     """Iwasawa's branch of log_p on nonzero rationals, to precision N.
 
-    log_p(p) = 0 and log_p vanishes on roots of unity, so
-    log_p(x) = log_p(<x>) with <x> = x/(p^v(x) * omega(x)) in 1 + pZ_p,
-    evaluated by the alternating series in <x> - 1.
+    log_p(p) = 0, so log_p(x) = log_p(u) for the unit u = x/p^v(x), and
+    log_p(u) = log_p(u^(p-1))/(p-1) with u^(p-1) in 1 + pZ_p, evaluated by
+    the alternating series in u^(p-1) - 1.
     """
     x = Fraction(x)
     if x == 0:
@@ -304,8 +304,7 @@ def iwasawa_log(p: int, x, N: int) -> PadicNumber:
     num = x.numerator // p ** vn
     den = x.denominator // p ** vd
     u = num * pow(den, -1, mod) % mod
-    t = _teich_int(p, u, mod)
-    y = (u * pow(t, -1, mod) - 1) % mod
+    y = (pow(u, p - 1, mod) - 1) % mod
     if y == 0:
         return PadicNumber.zero(p, N)
     acc = 0
@@ -321,6 +320,7 @@ def iwasawa_log(p: int, x, N: int) -> PadicNumber:
         if n % 2 == 0:
             term = -term
         acc = (acc + term) % mod
+    acc = acc * pow(p - 1, -1, mod) % mod
     return PadicNumber(p, 0, acc, W).truncate_abs(N)
 
 

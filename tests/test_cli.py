@@ -110,6 +110,35 @@ def test_theta_mode_flag_rules(capsys, extra):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_theta_padic_outside_zp(capsys, fmt):
+    # at p = 13 the character of Q(sqrt(-55)) takes values in the
+    # quadratic extension of Q_13, which the theta report cannot hold
+    code, out, err = run_cli(capsys, "theta", "--disc", "-55", "--ell", "2",
+                             "--class", "0", "--bound", "3", "--mode",
+                             "padic", "--p", "13", "--prec", "3",
+                             "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert "chi takes values in Z_p" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra", [
+    ("--mode", "complex", "--prec", "-5"),
+    ("--mode", "complex", "--prec", "0"),
+    ("--mode", "complex", "--prec", "-3"),
+    ("--mode", "padic", "--p", "11", "--prec", "0"),
+])
+def test_theta_prec_must_be_positive(capsys, extra):
+    code, out, err = run_cli(capsys, "theta", "--disc", "-7", "--ell", "2",
+                             "--class", "0", "--bound", "3", *extra)
+    assert code == 2
+    assert out == ""
+    assert "prec must be a positive integer" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0

@@ -7,6 +7,7 @@ package's purpose; the mutation tests check that they can actually fail.
 """
 
 import json
+import random
 from math import isqrt
 
 import pytest
@@ -209,17 +210,31 @@ def test_sigma_res_oracle(ctx21):
         assert ctx21.sigma_res(0, n) == want
 
 
+def _sigma_oracle_ns(D, p, seed):
+    """Small n, high powers of the primes of D, multiples of p and p^2, and
+    a random sample below 4000."""
+    rng = random.Random(seed)
+    qs = [q for q in (3, 5, 7, 11, 13, 31) if D % q == 0]
+    ns = set(range(1, 80))
+    ns |= {q ** e for q in qs for e in range(1, 6)}
+    ns |= {3 ** 3 * 5 ** 2 * 13, 5 ** 4, 3 ** 4 * 13 ** 2, -D, D * D}
+    ns |= {p * j for j in range(1, 40)} | {p * p * j for j in range(1, 12)}
+    ns |= {p ** 3, p * -D, p * p * D * D}
+    ns |= {rng.randrange(1, 4000) for _ in range(120)}
+    return sorted(ns)
+
+
 def test_sigma_res_oracle_all_classes(ctx_h2):
-    for ci in (0, 1):
-        na = class_norm(-15, ci)
-        for n in range(1, 80):
-            want = sigma_A(-15, 17, na, n, 23, ctx_h2.W).residue(ctx_h2.W)
-            assert ctx_h2.sigma_res(ci, n) == want
-
-
-def test_sigma_value_wraps_residue(ctx21):
-    v = ctx21.sigma_value(0, 33)
-    assert v.residue(ctx21.W) == ctx21.sigma_res(0, 33)
+    # h = 2, 4, 4 with 4, 4, 8 genus splits
+    for ctx in (ctx_h2, HeightContext(-55, 13, 7, 2, 1, n_prec=30),
+                HeightContext(-195, 7, 11, 2, 1, n_prec=30)):
+        D, N, p = ctx.D, ctx.level, ctx.p
+        ns = _sigma_oracle_ns(D, p, -D)
+        for ci in range(ctx.h):
+            na = class_norm(D, ci)
+            for n in ns:
+                want = sigma_A(D, N, na, n, p, ctx.W).residue(ctx.W)
+                assert ctx.sigma_res(ci, n) == want, (D, ci, n)
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,38 @@ def test_log_truncation_soundness():
             assert (a.val, a.unit, a.prec) == (b.val, b.unit, b.prec)
 
 
+def _log_teichmuller_form(p, x, N):
+    """log_p(x) as the alternating series at <x> - 1, <x> = u/omega(u) for
+    the unit u = x/p^v(x), in PadicNumber arithmetic."""
+    x = Fraction(x)
+    W = 2 * N + 10
+    u = PadicNumber.from_rational(p, x, W)
+    u = PadicNumber(p, 0, u.unit, u.prec)
+    y = u / teichmuller(p, u.unit % p, W) - 1
+    acc = PadicNumber.zero(p)
+    power = PadicNumber.from_rational(p, 1, W)
+    for n in range(1, 2 * N + 10):
+        power = power * y
+        term = power / n
+        acc = acc + (term if n % 2 else -term)
+    return acc.truncate_abs(N)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 23])
+def test_log_matches_teichmuller_form(p):
+    rng = random.Random(p)
+    xs = [x for x in range(-60, 61) if x]
+    xs += [Fraction(rng.randint(-10 ** 6, 10 ** 6) or 1,
+                    rng.randint(1, 10 ** 6)) for _ in range(60)]
+    xs += [p ** rng.randint(1, 4) * rng.choice((-1, 1)) * rng.randint(1, 999)
+           for _ in range(20)]
+    for x in xs:
+        for N in (1, 4, 12):
+            a = iwasawa_log(p, x, N)
+            b = _log_teichmuller_form(p, x, N)
+            assert (a.val, a.unit, a.prec) == (b.val, b.unit, b.prec), (x, N)
+
+
 # ---------------------------------------------------------------------------
 # Hensel roots
 
