@@ -17,15 +17,13 @@ from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
-from sympy import isprime
-
 from .heckechar import CharBuildError, build_char, theta_coeffs
 from .heights import (HeightContext, HeightError, bc_report,
                       crosscheck_report, fourier_am, local_height_sum)
 from .padic import PadicError, sigma_A
 from .polykit import PolyError, RationalPoly, g_poly, h_poly, jacobi_poly
 from .quadfield import (QuadFieldError, admissible_params, class_group,
-                        class_norm, class_number, ideals_of_norm)
+                        class_norm, class_number, ideals_of_norm, isprime)
 
 SCHEMA_DIR = Path(__file__).parent / "schemas"
 

@@ -24,12 +24,11 @@ from fractions import Fraction
 from math import isqrt
 
 import mpmath
-from sympy import isprime
 
 from .padic import PadicError, PadicNumber, nth_root_zp, padic_sqrt
 from .quadfield import (KElem, class_group, class_index_of_ideal, ideal_conj,
                         ideal_mult, ideal_norm, ideal_of_form, ideal_pow,
-                        ideals_of_norm, kronecker, normalize_ideal,
+                        ideals_of_norm, isprime, kronecker, normalize_ideal,
                         principal_generator, validate_discriminant)
 
 MODES = ("exact", "complex", "padic")

@@ -28,14 +28,14 @@ from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
 
 import numpy as np
-from sympy import divisors, factorint, isprime
 
 from .heckechar import CharBuildError, build_char
 from .padic import PadicNumber, _vp, epsilon_A, iwasawa_log, sigma_A
 from .polykit import h_poly
 from .quadfield import (class_index_of_ideal, class_norm, count_rA,
-                        ideal_conj, ideal_of_form, kronecker, split_type,
-                        validate_discriminant)
+                        discriminant_factorizations, divisors, factorint,
+                        ideal_conj, ideal_of_form, isprime, kronecker,
+                        split_type, validate_discriminant)
 
 GUARD = 10
 _MASK26 = (1 << 26) - 1
@@ -310,12 +310,9 @@ class HeightContext:
     # -- genus-weighted divisor sums ------------------------------------------
 
     def _build_splits(self):
-        # one genus split D = D1 * D2 per g = |D2| dividing |D|
-        self._splits = []
-        for g in sorted(divisors(self.aD)):
-            D2 = g if g % 4 == 1 else -g
-            self._splits.append((g, self.D // D2, D2,
-                                 kronecker(D2, -self.level)))
+        # one genus split D = D1 * D2 per coprime factorization, g = |D2|
+        self._splits = [(abs(D2), D1, D2, kronecker(D2, -self.level))
+                        for D1, D2 in discriminant_factorizations(self.D)]
         self._class_sig = []
         for ci in range(self.h):
             na = class_norm(self.D, ci)

@@ -10,9 +10,7 @@ divisor-sum functions epsilon_A / sigma_A built on Kronecker symbols.
 from fractions import Fraction
 from math import gcd, log as _flog, ceil
 
-from sympy import divisors
-
-from .quadfield import kronecker
+from .quadfield import divisors, kronecker
 
 EXACT = 10 ** 9  # sentinel valuation: exact zero
 

@@ -3,6 +3,9 @@
 Binary quadratic forms, Gauss composition, the form class group, and the
 two-generator ideal calculus for the maximal order of Q(sqrt(D)), D < -4,
 D = 1 mod 4 squarefree.  Everything is exact integer/rational arithmetic.
+The package's integer number theory on D, N, p and ideal norms lives here
+too: Kronecker symbols, isprime (Baillie-PSW), factorint (trial division,
+then Pollard rho), divisors, and square roots modulo prime powers.
 
 Conventions used throughout the package:
 
@@ -18,9 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import gcd, isqrt
-
-from sympy import factorint, isprime
 
 
 class QuadFieldError(ValueError):
@@ -87,6 +89,101 @@ def kronecker(a: int, n: int) -> int:
             acc = -acc
         a %= n
     return acc if n == 1 else 0
+
+
+# ---------------------------------------------------------------------------
+# small integers: primality, factorization, divisors
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def isprime(n: int) -> bool:
+    """Baillie-PSW: a strong probable-prime test to base 2 plus a strong
+    Lucas test with Selfridge parameters.  No composite below 2^64 passes."""
+    if n < 2:
+        return False
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    s = ((n - 1) & (1 - n)).bit_length() - 1    # n - 1 = d * 2^s
+    x = pow(2, (n - 1) >> s, n)
+    if x != 1 and x != n - 1:
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if isqrt(n) ** 2 == n:
+        return False
+    Dl = 5              # Selfridge: the first of 5, -7, 9, ... with (Dl/n) = -1
+    while (j := kronecker(Dl, n)) == 1:
+        Dl = 2 - Dl if Dl < 0 else -Dl - 2
+    return j == -1 and _strong_lucas(n, Dl, (1 - Dl) // 4)
+
+
+def _strong_lucas(n: int, Dl: int, Q: int) -> bool:
+    """Strong Lucas probable-prime test of odd n with P = 1, Dl = 1 - 4Q."""
+    s = ((n + 1) & -(n + 1)).bit_length() - 1   # n + 1 = d * 2^s
+    U, V, Qk = 1, 1, Q % n                      # U_1, V_1, Q^1
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) % n, (Dl * U + V) % n, Qk * Q % n
+            U, V = (U + n * (U & 1)) >> 1, (V + n * (V & 1)) >> 1
+    if U == 0:
+        return True
+    for _ in range(s):
+        if V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return False
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the odd composite n: Pollard rho, Brent's cycle."""
+    for c in count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                if (g := gcd(x - y, n)) != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
+
+
+def factorint(n: int) -> dict:
+    """{prime: exponent} of n, primes increasing; n < 0 adds -1: 1 and n = 0
+    gives {0: 1}."""
+    if n == 0:
+        return {0: 1}
+    out = {-1: 1} if n < 0 else {}
+    n = abs(n)
+    for q in _SMALL_PRIMES:
+        while n % q == 0:
+            n //= q
+            out[q] = out.get(q, 0) + 1
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if isprime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            stack += [f := _rho(m), m // f]
+    return dict(sorted(out.items()))
+
+
+def divisors(n: int) -> list:
+    """Positive divisors of n in increasing order ([] for n = 0)."""
+    if n == 0:
+        return []
+    out = [1]
+    for q, e in factorint(abs(n)).items():
+        out = [d * q ** i for d in out for i in range(e + 1)]
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +283,6 @@ class KElem:
         self.D = D
         self.x = Fraction(x)
         self.y = Fraction(y)
-
-    @staticmethod
-    def from_half_pair(D: int, u, v) -> "KElem":
-        """(u + v*sqrt(D))/2."""
-        return KElem(D, Fraction(u, 2), Fraction(v, 2))
 
     def __add__(self, o):
         o = self._coerce(o)
@@ -373,12 +465,6 @@ def ideal_of_form(D: int, f):
 
 def class_index_of_ideal(D: int, ideal) -> int:
     return reduced_forms(D).index(form_of_ideal(D, ideal))
-
-
-def ideal_basis(D: int, ideal):
-    """Z-basis (as KElem pair) of the ideal: (e*a, e*(-b+sqrt(D))/2)."""
-    e, a, b = ideal
-    return KElem(D, e * a, 0), KElem.from_half_pair(D, -e * b, e)
 
 
 def element_in_ideal(D: int, ideal, z: KElem) -> bool:
@@ -804,6 +890,10 @@ def admissible_params(D: int, p: int | None = None, n_prime: bool = False,
     if fixed_p is not None:
         if fixed_p == 2 or not isprime(fixed_p) or kronecker(D, fixed_p) != 1:
             raise QuadFieldError("constrained p must be an odd split prime")
+        if char_ell is not None and not _zp_char_exists(D, fixed_p, char_ell):
+            raise QuadFieldError(f"hypothesis a character of infinity type "
+                                 f"({char_ell}, 0) with values in Z_p exists "
+                                 f"fails: p = {fixed_p}")
     for N in range(3, search_bound + 1):
         f = factorint(N)
         if any(e > 1 for e in f.values()):
@@ -815,23 +905,21 @@ def admissible_params(D: int, p: int | None = None, n_prime: bool = False,
         if kronecker(D, N) != 1:
             continue  # vacuous given split factors, kept as the stated contract
         if fixed_p is not None:
-            if N % fixed_p != 0 and (char_ell is None
-                                     or _char_buildable(D, fixed_p, char_ell)):
+            if N % fixed_p != 0:
                 return (N, fixed_p)
             continue
         q = 3
         while q <= search_bound:
             if (q != 2 and isprime(q) and kronecker(D, q) == 1 and N % q != 0
-                    and (char_ell is None or _char_buildable(D, q, char_ell))):
+                    and (char_ell is None or _zp_char_exists(D, q, char_ell))):
                 return (N, q)
             q += 2
     raise QuadFieldError("admissible parameter search bound exceeded")
 
 
-def _char_buildable(D: int, p: int, ell: int) -> bool:
+def _zp_char_exists(D: int, p: int, ell: int) -> bool:
     from . import heckechar
     try:
-        heckechar.build_char(D, ell, mode="padic", p=p, prec=8)
-        return True
+        return heckechar.build_char(D, ell, mode="padic", p=p, prec=8).ground
     except heckechar.CharBuildError:
         return False

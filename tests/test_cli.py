@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from jsonschema import Draft7Validator
 
 from padicheights import cli
@@ -186,6 +187,16 @@ def test_params_rejects_bad_character_type(capsys, ell):
     assert err.count("\n") == 1 and "ell even and > 0" in err
 
 
+def test_params_fixed_p_without_zp_character(capsys):
+    # at p = 3 no character of type (2, 0) on Q(sqrt(-23)) has values in
+    # Z_p, whatever the level: exit 2 before the level search starts
+    code, out, err = run_cli(capsys, "params", "--disc", "-23", "--p", "3",
+                             "--ell", "2")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "with values in Z_p" in err
+
+
 @pytest.mark.parametrize("which", ["combo", "recur", "jacobi"])
 def test_hpoly_checks_pass(capsys, which):
     code, out, _ = run_cli(capsys, "hpoly", "--m", "4", "--k", "2",
@@ -352,3 +363,103 @@ def test_jobs_flag_does_not_change_bytes():
     threaded = run_proc(*base, "--jobs", "3")
     assert serial.returncode == threaded.returncode == 0
     assert serial.stdout == threaded.stdout
+
+
+# one small command per layer that uses primality, factorization or divisors
+NO_SYMPY_COMMANDS = [
+    ["bc-check", "--disc", "-7", "--level", "23", "--p", "11", "--r", "2",
+     "--k", "1", "--mmax", "2", "--prec", "12"],
+    ["crosscheck", "--disc", "-7", "--level", "23", "--p", "11", "--r", "2",
+     "--k", "1", "--m", "33", "--prec", "12"],
+    ["sigma", "--disc", "-15", "--level", "17", "--class", "1", "--n", "60",
+     "--p", "19", "--prec", "8"],
+    ["params", "--disc", "-55", "--ell", "2"],
+    ["theta", "--disc", "-23", "--ell", "2", "--class", "1", "--bound", "6",
+     "--mode", "padic", "--p", "29", "--prec", "5"],
+]
+
+_RUN_ALL = """
+import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["sympy"] = None
+from padicheights import cli
+results = []
+for argv in json.loads(sys.argv[2]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.run(argv)
+    results.append([code, buf.getvalue()])
+print(json.dumps({"results": results, "sympy": "sympy" in sys.modules}))
+"""
+
+
+def test_runs_without_sympy():
+    def run(mode):
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_ALL, mode,
+             json.dumps(NO_SYMPY_COMMANDS)],
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    blocked, free = run("block"), run("free")
+    assert blocked["results"] == free["results"]
+    assert [code for code, _ in free["results"]] == [0] * 5
+    assert not free["sympy"]        # nothing imports it when it is there
+
+
+# ---------------------------------------------------------------------------
+# fuzz: small random contexts end in a report or a named rejection
+
+# contexts (D, N, p) that meet every hypothesis on the field, level and prime
+_BASES = [(-7, 23, 11), (-23, 3, 13), (-31, 7, 5), (-47, 3, 7), (-51, 11, 5),
+          (-55, 13, 7)]
+_ANY = {"D": st.integers(-60, 8), "N": st.integers(-3, 30),
+        "p": st.integers(-3, 13), "r": st.integers(-1, 4),
+        "k": st.integers(-1, 3), "m": st.integers(-2, 6),
+        "mmax": st.integers(-1, 1), "prec": st.integers(-1, 5),
+        "cls": st.integers(-1, 2)}
+
+
+@st.composite
+def _fuzz_values(draw):
+    """A valid context with at most one value replaced by any small integer,
+    prime or not, negative or zero."""
+    v = dict(zip(("D", "N", "p"), draw(st.sampled_from(_BASES))))
+    v["r"], v["k"] = draw(st.sampled_from([(2, 1), (3, 1), (3, 2), (4, 2)]))
+    # multiples of p pass the p | m hypothesis of fourier and crosscheck;
+    # at p > 7 the cross-check would take seconds
+    ms = [1, 2, 3, 4, 5, 6] + ([i * v["p"] for i in (1, 2, 3)]
+                               if v["p"] <= 7 else [])
+    v.update(m=draw(st.sampled_from(ms)), mmax=1,
+             prec=draw(st.integers(1, 5)), cls=draw(st.integers(0, 2)))
+    field = draw(st.sampled_from([None, *_ANY]))
+    if field is not None:
+        v[field] = draw(_ANY[field])
+    return v
+
+
+@given(st.sampled_from(["bc-check", "crosscheck", "fourier", "heightsum",
+                        "sigma", "params", "theta"]), _fuzz_values())
+@settings(max_examples=40, deadline=None)
+def test_fuzz_exit_codes(command, v):
+    ctx = ["--disc", str(v["D"]), "--level", str(v["N"]), "--p", str(v["p"]),
+           "--r", str(v["r"]), "--k", str(v["k"]), "--prec", str(v["prec"])]
+    argv = {
+        "bc-check": ["bc-check", *ctx, "--mmax", str(v["mmax"])],
+        "crosscheck": ["crosscheck", *ctx, "--m", str(v["m"])],
+        "fourier": ["fourier", *ctx, "--m", str(v["m"]),
+                    "--class", str(v["cls"])],
+        "heightsum": ["heightsum", *ctx, "--m", str(v["m"]),
+                      "--class", str(v["cls"])],
+        "sigma": ["sigma", "--disc", str(v["D"]), "--level", str(v["N"]),
+                  "--class", str(v["cls"]), "--n", str(v["m"]),
+                  "--p", str(v["p"]), "--prec", str(v["prec"])],
+        "params": ["params", "--disc", str(v["D"]), "--p", str(v["p"]),
+                   "--ell", str(2 * v["k"])],
+        "theta": ["theta", "--disc", str(v["D"]), "--ell", str(2 * v["k"]),
+                  "--class", str(v["cls"]), "--bound", str(v["m"]),
+                  "--mode", "padic", "--p", str(v["p"]),
+                  "--prec", str(v["prec"])],
+    }[command]
+    assert cli.run(argv) in (0, 1, 2), argv

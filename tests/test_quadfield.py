@@ -83,6 +83,48 @@ def test_kronecker_periodicity(D):
 
 
 # ---------------------------------------------------------------------------
+# small integers: isprime, factorint, divisors against sympy as the oracle
+
+# strong pseudoprimes to several bases (2047 to base 2; psi_12 and psi_13
+# fool Miller-Rabin on the first 12 and 13 prime bases), strong Lucas
+# pseudoprimes and Carmichael numbers
+PSEUDOPRIMES = [2047, 3215031751, 3825123056546413051,
+                318665857834031151167461, 3317044064679887385961981,
+                5459, 5777, 10877, 16109, 18971, 561, 1105, 1729, 2465,
+                2821, 6601, 8911, 41041, 825265, 321197185, 5394826801,
+                232250619601, 9746347772161]
+
+
+def test_isprime_matches_sympy():
+    import sympy
+    for n in range(-3, 200_000):
+        assert qf.isprime(n) == sympy.isprime(n), n
+    rng = random.Random(5)
+    for _ in range(1800):
+        bits = rng.randint(20, 200)
+        n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        assert qf.isprime(n) == sympy.isprime(n), n
+    for n in PSEUDOPRIMES:
+        assert not qf.isprime(n) and not sympy.isprime(n), n
+
+
+def test_factorint_and_divisors_match_sympy():
+    import sympy
+    rng = random.Random(7)
+    ns = (list(range(-3, 30_000))
+          + [rng.randrange(1, 10 ** 18) for _ in range(300)])
+    for _ in range(20):
+        q1 = sympy.nextprime(rng.randrange(10 ** 9, 2 * 10 ** 9))
+        q2 = sympy.nextprime(rng.randrange(10 ** 9, 2 * 10 ** 9))
+        ns.append(q1 * q2)
+    for n in ns:
+        f = qf.factorint(n)
+        assert f == sympy.factorint(n), n
+        assert list(f) == sorted(f), n
+        assert qf.divisors(n) == sympy.divisors(n), n
+
+
+# ---------------------------------------------------------------------------
 # reduced forms and class numbers
 
 def test_reduced_forms_frozen():
@@ -288,7 +330,7 @@ def test_principal_generator_roundtrip():
                 continue
             if (u - v) % 2 != 0:
                 u += 1
-            gamma = KElem.from_half_pair(D, u, v)
+            gamma = KElem(D, Fraction(u, 2), Fraction(v, 2))
             n = gamma.norm()
             assert n.denominator == 1
             n = int(n)
@@ -307,7 +349,7 @@ def test_principal_generator_roundtrip():
 
 def test_element_arithmetic():
     D = -7
-    x = KElem.from_half_pair(D, 1, 1)   # (1+sqrt(-7))/2
+    x = KElem(D, Fraction(1, 2), Fraction(1, 2))   # (1+sqrt(-7))/2
     assert x.norm() == 2
     assert x.trace() == 1
     assert (x * x.conj()) == KElem(D, 2, 0)
@@ -381,3 +423,26 @@ def test_admissible_params_constraints():
         qf.admissible_params(-7, n_prime=True, search_bound=10)
     with pytest.raises(QuadFieldError):
         qf.admissible_params(-7, p=3)  # 3 is inert in Q(sqrt(-7))
+
+
+# fields where the smallest buildable p at ell = 2 only gives a character
+# with values in the quadratic extension of Q_p
+ZP_FIXED = {-55: (7, 31), -155: (3, 19), -203: (3, 19), -291: (5, 23),
+            -323: (3, 31), -355: (7, 19)}
+
+
+@pytest.mark.parametrize("D", sorted(ZP_FIXED))
+def test_admissible_params_character_in_zp(D):
+    from padicheights.heckechar import build_char
+    level, p = qf.admissible_params(D, char_ell=2)
+    assert (level, p) == ZP_FIXED[D]
+    assert build_char(D, 2, "padic", p=p).ground
+
+
+def test_admissible_params_fixed_p_without_zp_character():
+    # buildability does not depend on N: the search stops before the N loop
+    with pytest.raises(QuadFieldError, match="with values in Z_p"):
+        qf.admissible_params(-23, p=3, char_ell=2)
+    with pytest.raises(QuadFieldError, match="with values in Z_p"):
+        qf.admissible_params(-55, p=13, char_ell=2)
+    assert qf.admissible_params(-55, p=31, char_ell=2) == (7, 31)
