@@ -19,12 +19,15 @@ whose per-norm sums are exact (the float64 bincount accumulators never
 exceed 2^53, split into 26-bit halves when single words could).  Index m
 only reads norms in the residue class of m|D| mod N, so each class bank
 keeps one strided array per residue (see _ThetaBank), which bounds it by
-the largest requested norm without a memory cap.
+the largest requested norm without a memory cap.  The scan visits only
+those points: the cosets of N Z^2 on which the form takes a requested
+residue (see _Cosets), each inside that residue's own ellipse.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import comb, gcd, isqrt, lcm
 
 import numpy as np
@@ -104,6 +107,58 @@ def _weights(u, v, D: int, ell: int):
     return U, V
 
 
+class _Cosets:
+    """The classes (s, t) mod N with Q(s, t) = rho (mod N), for a primitive
+    form Q = (a, b, c) of discriminant D = 1 mod 4 and any N >= 1.
+
+    A unimodular change of variables (s, t) = (x s' + u t', y s' + w t')
+    makes the t'^2 coefficient C = Q(u, w) prime to N (a primitive form
+    represents a class prime to each q | N, so the search ends).  The new
+    form (A, B, C) has 4C Q = (2C t' + B s')^2 - D s'^2, and C(Q - rho) = 0
+    (mod N) is 4C(Q - rho) = 0 (mod 4N), so Q = rho (mod N) exactly when
+    z = 2C t' + B s' solves z^2 = D s'^2 + 4C rho (mod 4N).  That root set
+    is closed under z -> z + 2N, and its z in [0, 2N) give each t' mod N
+    once: t' = ((z - B s') / 2) C^-1, where z - B s' is even because B and
+    z - s' are (D = 1 mod 4).  The roots are read from one table of z^2
+    mod 4N, so a residue costs O(N) and no N x N table is built."""
+
+    def __init__(self, form, D: int, N: int):
+        a, b, c = form
+
+        def q(s, t):
+            return a * s * s + b * s * t + c * t * t
+
+        u, w = next((u, h - u) for h in count(1) for u in range(h + 1)
+                    if gcd(u, h - u) == 1 and gcd(q(u, h - u), N) == 1)
+        x = pow(w, -1, u) if u else 1
+        y = (x * w - 1) // u if u else 0
+        A, C = q(x, y), q(u, w)
+        self.B = q(x + u, y + w) - A - C
+        self.N, self.M4 = N, 4 * N
+        self.move = (x, u, y, w)
+        self.C4, self.invC = 4 * C, pow(C, -1, N)
+        z = np.arange(2 * N, dtype=np.int64)
+        sq = z * z % self.M4
+        self.roots = np.argsort(sq, kind="stable")
+        self.first = np.zeros(self.M4 + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sq, minlength=self.M4), out=self.first[1:])
+        self.s = np.arange(N, dtype=np.int64)
+        self.ds2 = (D % self.M4) * (self.s * self.s % self.M4) % self.M4
+
+    def __call__(self, rho: int):
+        """(s0, t0) int64 arrays in [0, N): every class of Q = rho once."""
+        N = self.N
+        v = (self.ds2 + self.C4 * rho) % self.M4
+        lo = self.first[v]
+        cnt = self.first[v + 1] - lo
+        sp = np.repeat(self.s, cnt)
+        k = np.arange(sp.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        z = self.roots[np.repeat(lo, cnt) + k]
+        tp = (z - self.B * sp) // 2 * self.invC % N
+        x, u, y, w = self.move
+        return (x * sp + u * tp) % N, (y * sp + w * tp) % N
+
+
 class _ThetaBank:
     """Per-class exact sums (SUM U, SUM V) of xbar^ell over lattice points,
     grouped by norm j.
@@ -112,11 +167,19 @@ class _ThetaBank:
     progression in the residue rho = m|D| mod N.  The bank keeps one
     strided array per requested residue: position i holds the sums at
     j = rho + iN, for every j below the largest m|D| requested in that
-    residue, so position K - n of index m (K = (m|D| - rho)/N) is its n-th
-    term.  A residue's array is as long as its largest index alone needs,
-    and the arrays of distinct residues never overlap, so the bank never
-    holds more than one float64 word per part for each j below the largest
-    requested m|D|; it needs no memory cap of its own."""
+    residue (its top), so position K - n of index m (K = (m|D| - rho)/N) is
+    its n-th term.  A residue's array is as long as its largest index alone
+    needs, and the arrays of distinct residues never overlap, so the bank
+    never holds more than one float64 word per part for each j below the
+    largest requested m|D|; it needs no memory cap of its own.
+
+    The scan visits only points that some residue reads.  The points with
+    Q = rho (mod N) are the cosets (s0, t0) + N Z^2 that _Cosets lists, and
+    each coset is cut into rows s = s0 + Ni, whose exact t-span inside the
+    residue's own ellipse Q < top follows from 4cQ = (2ct + bs)^2 + |D|s^2.
+    A residue is rescanned only when its top grows (or the 26-bit split
+    switches on), so a bank prefetched one index at a time keeps the
+    arrays of the residues it already holds."""
 
     def __init__(self, ctx, class_index: int):
         self.ctx = ctx
@@ -125,6 +188,7 @@ class _ThetaBank:
         self.tops = {}             # rho -> largest m|D| requested in rho
         self.arrays = {}           # rho -> (su_parts, sv_parts) float64 arrays
         self.split = False
+        self._cosets = _Cosets(self.form, ctx.D, ctx.level)
 
     # -- public -------------------------------------------------------------
 
@@ -173,7 +237,7 @@ class _ThetaBank:
 
     def _scan(self, tops):
         ctx = self.ctx
-        aD, N, ell = ctx.aD, ctx.level, ctx.ell
+        aD, ell = ctx.aD, ctx.ell
         a, b, c = self.form
         qmax = max(tops.values())
         if qmax >= _QMAX_LIMIT:
@@ -185,48 +249,88 @@ class _ThetaBank:
         bu, bv = _weight_bound(umax, tmax, ctx.D, ell)
         if max(bu, bv) >= 1 << 62:
             raise HeightError("lattice weights exceed the 64-bit exact range")
-        self.split = max(bu, bv) * _COUNT_BOUND >= 1 << 53
-        nparts = 2 if self.split else 1
-        # the residue arrays are consecutive slices of one flat store, so a
-        # single bincount per block bins the points of every residue; a
-        # point of norm q in residue rho sits at start[rho] + q // N
-        start = np.zeros(N, dtype=np.int64)
-        top_of = np.zeros(N, dtype=np.int64)
-        spans = {}
-        total = 0
-        for rho in sorted(tops):
-            start[rho], top_of[rho] = total, tops[rho]
-            spans[rho] = slice(total, total + (tops[rho] - rho) // N)
-            total = spans[rho].stop
-        flat = tuple(tuple(np.zeros(total, dtype=np.float64)
-                           for _ in range(nparts)) for _ in range(2))
+        split = max(bu, bv) * _COUNT_BOUND >= 1 << 53
+        # a residue keeps its arrays unless its top grew or the split
+        # switched on
+        held = self.arrays if split == self.split else {}
+        nparts = 2 if split else 1
+        self.arrays = {rho: held[rho] if rho in held and top == self.tops[rho]
+                       else self._scan_residue(rho, top, nparts)
+                       for rho, top in sorted(tops.items())}
+        self.tops, self.split = tops, split
 
-        chunk = max(1, _BLOCK_CELLS // (2 * tmax + 1))
-        T = np.arange(-tmax, tmax + 1, dtype=np.int64)[None, :]
-        for s0 in range(-smax, smax + 1, chunk):
-            S = np.arange(s0, min(s0 + chunk, smax + 1), dtype=np.int64)[:, None]
+    def _scan_residue(self, rho: int, top: int, nparts: int):
+        """The bank arrays of residue rho: every point of Q = rho (mod N)
+        with Q < top, binned at position Q // N."""
+        ctx = self.ctx
+        aD, N = ctx.aD, ctx.level
+        a, b, c = self.form
+        store = tuple(tuple(np.zeros((top - rho) // N, dtype=np.float64)
+                            for _ in range(nparts)) for _ in range(2))
+        s0, t0 = self._cosets(rho)
+        # one row per coset and s = s0 + Ni in [-smax, smax]
+        smax = isqrt(4 * c * top // aD) + 1
+        ilo = -((smax + s0) // N)
+        ni = (smax - s0) // N - ilo + 1
+        k = np.repeat(np.arange(s0.size), ni)
+        s = s0[k] + N * (ilo[k] + np.arange(k.size)
+                         - np.repeat(np.cumsum(ni) - ni, ni))
+        t0 = t0[k]
+        # the row's t with Q(s, t) < top: (2ct + bs)^2 < 4c top - |D| s^2;
+        # float rounding moves an end by at most one step, which the exact
+        # integer checks take back
+        rad = 4 * c * top - aD * s * s
+        keep = rad > 0
+        s, t0, rad = s[keep], t0[keep], np.sqrt(rad[keep])
+        lo = np.ceil((-b * s - rad) / (2 * c)).astype(np.int64)
+        hi = np.floor((-b * s + rad) / (2 * c)).astype(np.int64)
+
+        def inside(t):
+            return (a * s) * s + (b * s) * t + (c * t) * t < top
+
+        lo -= inside(lo - 1)
+        lo += ~inside(lo)
+        hi += inside(hi + 1)
+        hi -= ~inside(hi)
+        # the row's points t = t0 + Nj for ceil((lo-t0)/N) <= j <= (hi-t0)//N
+        jlo = -((t0 - lo) // N)
+        cnt = (hi - t0) // N - jlo + 1
+        keep = cnt > 0
+        s, cnt = s[keep], cnt[keep]
+        cum = np.zeros(cnt.size + 1, dtype=np.int64)
+        np.cumsum(cnt, out=cum[1:])
+        # point number p of the residue lies in row r = the last cum[r] <= p,
+        # at t = tb[r] + Np
+        tb = (t0 + N * jlo)[keep] - N * cum[:-1]
+        total = int(cum[-1])
+        for p0 in range(0, total, _BLOCK_CELLS):
+            p1 = min(p0 + _BLOCK_CELLS, total)
+            r0 = int(np.searchsorted(cum, p0, "right")) - 1
+            r1 = int(np.searchsorted(cum, p1, "left"))
+            row = np.repeat(np.arange(r0, r1),
+                            np.minimum(cum[r0 + 1:r1 + 1], p1)
+                            - np.maximum(cum[r0:r1], p0))
+            S = s[row]
+            T = tb[row] + N * np.arange(p0, p1, dtype=np.int64)
             Q = (a * S) * S + (b * S) * T + (c * T) * T
-            Qn = Q % N
-            mask = (Q >= 1) & (Q < top_of[Qn])
-            if not mask.any():
-                continue
-            U, V = _weights(((2 * a) * S + b * T)[mask],
-                            np.broadcast_to(T, Q.shape)[mask], ctx.D, ell)
-            self._bin(flat, start[Qn[mask]] + Q[mask] // N, U, V)
-        self.tops = tops
-        self.arrays = {rho: tuple(tuple(x[sl] for x in parts) for parts in flat)
-                       for rho, sl in spans.items()}
+            # rho = 0 meets the origin: Q = 0 at weight 0, a no-op in bin 0
+            U, V = _weights((2 * a) * S + b * T, T, ctx.D, ctx.ell)
+            self._bin(store, Q // N, U, V)
+        return store
 
     def _bin(self, store, idx, U, V):
+        # bin into the block's own index span, not the whole array
+        lo = int(idx.min())
+        idx = idx - lo
         su, sv = store
-        if self.split:
+        if len(su) == 2:        # the 26-bit split
             parts = ((U & _MASK26, U >> 26), (V & _MASK26, V >> 26))
         else:
             parts = ((U,), (V,))
         for arrs, ps in ((su, parts[0]), (sv, parts[1])):
             for arr, w in zip(arrs, ps):
-                arr += np.bincount(idx, weights=w.astype(np.float64),
-                                   minlength=arr.size)
+                sums = np.bincount(idx, weights=w.astype(np.float64))
+                arr[lo:lo + sums.size] += sums
 
 
 class HeightContext:

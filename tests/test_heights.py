@@ -14,13 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicheights.heights import (HeightContext, HeightError, _hf_sides,
-                                  apply_UF, b_seq, bc_report, bc_residual,
-                                  c_seq, crosscheck_report, fourier_am,
-                                  height_fourier_residual, local_height_sum,
-                                  uf_terms)
+from padicheights import heights
+from padicheights.heights import (HeightContext, HeightError, _Cosets,
+                                  _hf_sides, apply_UF, b_seq, bc_report,
+                                  bc_residual, c_seq, crosscheck_report,
+                                  fourier_am, height_fourier_residual,
+                                  local_height_sum, uf_terms)
 from padicheights.padic import PadicNumber, sigma_A
-from padicheights.quadfield import QuadFieldError, class_norm
+from padicheights.quadfield import QuadFieldError, class_norm, reduced_forms
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +198,97 @@ def test_residue_bank_prefetch_order(ms):
         ns, sus, svs = bank.series(m)
         want = _brute_series(ctx.group.forms[0], -7, 2, m, 7, 23)
         assert dict(zip(ns, zip(sus, svs))) == want
+
+
+@pytest.mark.parametrize("D, N", [
+    (-7, 22),     # q = 2
+    (-15, 34),    # q = 2 divides a and c of (2, 1, 2)
+    (-23, 3),     # 3 divides c of every reduced form
+    (-31, 7),
+    (-55, 13),
+    (-7, 8),      # prime powers: the level need not be squarefree
+    (-7, 121),
+    (-7, 667),    # composite level, on a sample of residues
+])
+def test_cosets_vs_bruteforce(D, N):
+    rhos = range(N) if N < 200 else [0, 1, 2, 28, 333, 666] + \
+        random.Random(N).sample(range(N), 10)
+    for form in reduced_forms(D):
+        a, b, c = form
+        by_rho = {}
+        for s in range(N):
+            for t in range(N):
+                by_rho.setdefault((a * s * s + b * s * t + c * t * t) % N,
+                                  set()).add((s, t))
+        cosets = _Cosets(form, D, N)
+        for rho in rhos:
+            s0, t0 = cosets(rho)
+            got = list(zip(s0.tolist(), t0.tolist()))
+            assert len(got) == len(set(got))
+            assert set(got) == by_rho.get(rho, set()), (form, rho)
+
+
+def _assert_bank_matches_brute(ctx, ci, ms):
+    bank = ctx._bank(ci)
+    for m in ms:
+        ns, sus, svs = bank.series(m)
+        want = _brute_series(ctx.group.forms[ci], ctx.D, ctx.ell, m, ctx.aD,
+                             ctx.level)
+        assert dict(zip(ns, zip(sus, svs))) == want, (ci, m)
+
+
+def test_bank_many_residues_vs_bruteforce():
+    # five residues at once at a large level; 667 and 1334 share rho = 0
+    ctx = HeightContext(-7, 667, 11, 2, 1)
+    ms = [55, 363, 667, 1000, 1334, 6655]
+    ctx.prefetch([(0, m) for m in ms])
+    assert len(ctx._bank(0).tops) == 5
+    _assert_bank_matches_brute(ctx, 0, ms)
+
+
+@pytest.mark.parametrize("args", [(-23, 3, 29, 2, 1), (-31, 7, 5, 2, 1)])
+def test_bank_every_class_vs_bruteforce(args):
+    ctx = HeightContext(*args)
+    ms = [1, 2, 3, 5, 7, 21, 60]
+    ctx.prefetch([(ci, m) for ci in range(ctx.h) for m in ms])
+    for ci in range(ctx.h):
+        _assert_bank_matches_brute(ctx, ci, ms)
+
+
+@pytest.mark.parametrize("cells", [7, 300])
+def test_bank_blocks_cut_inside_cosets(monkeypatch, cells):
+    # at N = 3 one coset's rows hold thousands of points, so small blocks
+    # end inside a row as well as between rows
+    monkeypatch.setattr(heights, "_BLOCK_CELLS", cells)
+    blocks = []
+    real_bin = heights._ThetaBank._bin
+
+    def counting_bin(self, store, idx, U, V):
+        blocks.append(idx.size)
+        real_bin(self, store, idx, U, V)
+
+    monkeypatch.setattr(heights._ThetaBank, "_bin", counting_bin)
+    ctx = HeightContext(-23, 3, 29, 2, 1)
+    ms = [100, 200]
+    ctx.prefetch([(ci, m) for ci in range(ctx.h) for m in ms])
+    assert len(blocks) > 10 and max(blocks) <= cells
+    for ci in range(ctx.h):
+        _assert_bank_matches_brute(ctx, ci, ms)
+
+
+def test_bank_split_switch_rescans_held_residues():
+    # a later index past the single-word range turns on the 26-bit split;
+    # the residues already held must be rescanned into two parts
+    ctx = HeightContext(-7, 23, 11, 3, 2)
+    ctx.prefetch([(0, 50), (0, 51)])
+    assert not ctx._bank(0).split
+    ctx.prefetch([(0, 40_000)])
+    bank = ctx._bank(0)
+    assert bank.split
+    assert all(len(su) == len(sv) == 2 for su, sv in bank.arrays.values())
+    # the weights of the large index pass 2^26, so its high words are used
+    assert bank.arrays[40_000 * 7 % 23][0][1].any()
+    _assert_bank_matches_brute(ctx, 0, [50, 51])
 
 
 # ---------------------------------------------------------------------------
