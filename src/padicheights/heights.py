@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -214,23 +214,18 @@ class _ThetaBank:
             raise HeightError("theta bank not prepared for this index")
         # positions K-1 .. 0 reversed: view index i is n = i + 1
         K = (MD - rho) // N
-        su_parts, sv_parts = (tuple(a[:K][::-1] for a in parts)
-                              for parts in self.arrays[rho])
-        # recombine in python ints: a 26-bit hi sum shifted back up can pass
-        # 2^63, and the float64 parts themselves are exact by construction
+        views = [[a[:K][::-1] for a in parts] for parts in self.arrays[rho]]
+        idx = np.nonzero(np.logical_or.reduce(
+            [a != 0 for parts in views for a in parts]))[0]
+        # the float64 parts are exact integers by construction; a 26-bit hi
+        # part shifted back up can pass 2^63, so it is added in python ints
+        ints = [[a[idx].astype(np.int64).tolist() for a in parts]
+                for parts in views]
         if self.split:
-            sl, sh = su_parts
-            vl, vh = sv_parts
-            mask = (sl != 0) | (sh != 0) | (vl != 0) | (vh != 0)
-            idx = np.nonzero(mask)[0]
-            sus = [int(sl[i]) + (int(sh[i]) << 26) for i in idx]
-            svs = [int(vl[i]) + (int(vh[i]) << 26) for i in idx]
+            sus, svs = ([lo + (hi << 26) for lo, hi in zip(*part_lists)]
+                        for part_lists in ints)
         else:
-            su, sv = su_parts[0], sv_parts[0]
-            mask = (su != 0) | (sv != 0)
-            idx = np.nonzero(mask)[0]
-            sus = [int(x) for x in su[idx]]
-            svs = [int(x) for x in sv[idx]]
+            (sus,), (svs,) = ints
         return (idx + 1).tolist(), sus, svs
 
     # -- internals ------------------------------------------------------------
@@ -438,8 +433,6 @@ class HeightContext:
         self._spf = spf
 
     def _prime_log(self, q: int) -> int:
-        if q == self.p:
-            return 0
         v = self._plog.get(q)
         if v is None:
             v = iwasawa_log(self.p, q, self.W).residue(self.W)
@@ -448,26 +441,31 @@ class HeightContext:
 
     def _factor_spf(self, n: int):
         spf = self._spf
-        out = []
         while n > 1:
             q = int(spf[n])
             e = 0
             while n % q == 0:
                 n //= q
                 e += 1
-            out.append((q, e))
-        return out
+            yield q, e
 
     def sigma_res(self, class_index: int, n: int) -> int:
         """Residue mod p^W of sigma(n) = sum_{d | n} eps(d, n/d) log_p(n/d^2).
 
-        Works from the factorization of n, one genus split D = D1 * D2
-        (|D2| = g) at a time: its d take all of q^e for q | g, none for the
-        other q | D and any power for q prime to D, so it needs g | n.  Prime
-        by prime, A = sum of the signs (D1/d)(D2/(n/d)) and L = sum of the
-        signed log(n/d^2) update as L <- L a_q + A l_q log q, A <- A a_q;
-        each split's L enters times (D2/-N)(D2/na).  padic.sigma_A is the
-        divisor-by-divisor oracle.
+        Closed form by genus theory.  A genus split D = D1 * D2 (|D2| = g,
+        needing g | n) sums over the d holding all of q^e for q | g, none for
+        the other q | D and any power of q prime to D, with the sign
+        (D1/d)(D2/(n/d)) (D2/-N)(D2/na).  The sign is multiplicative and
+        log(n/d^2) additive over the q^e || n, so the sum is sum_q l_q log q
+        prod_{q' != q} a_q', where a_q sums the signs over the powers q^i and
+        l_q the signs times e - 2i.  For q prime to D and x = (D1/q),
+        (a_q, l_q) is ((e + 1) x^e, 0) if q splits, (1, 0) if q is inert and
+        e even, and (0, -(e + 1) x^e) if q is inert and e odd.  So each split
+        adds tau (D1/(n/n1)) (D2/n1) lam, with tau = prod over split q of
+        e + 1, n1 the part of n on the primes of D1, and lam = 0 if two q are
+        inert to odd powers, -(e0 + 1) log q0 if one q0^e0 is, and else
+        sum_{q | D1} e log q - sum_{q | g} e log q.  p splits, so log_p(p)
+        is never needed.  padic.sigma_A is the oracle.
         """
         sig = self._class_sig[class_index]
         cache = self._sigma_cache.get(sig)
@@ -477,31 +475,32 @@ class HeightContext:
         if v is not None:
             return v
         self._ensure_spf(n)
-        fac = self._factor_spf(n)
-        aD = self.aD
+        tau = 1
+        ram = []            # (q, e) for the primes of D
+        inert = None        # the one (q0, e0) inert to an odd power
+        for q, e in self._factor_spf(n):
+            if self.aD % q == 0:
+                ram.append((q, e))
+            elif kronecker(self.D, q) == 1:
+                tau *= e + 1
+            elif e % 2:
+                if inert is not None:
+                    cache[n] = 0
+                    return 0
+                inert = (q, e)
+        if inert is not None:
+            q0, e0 = inert
+            lam = -(e0 + 1) * self._prime_log(q0)
         acc = 0
         for (g, D1, D2, sgn), cs in zip(self._splits, sig):
             if n % g:
                 continue
-            A, L = 1, 0
-            for q, e in fac:
-                x1 = kronecker(D1, q)
-                x2 = kronecker(D2, q)
-                if g % q == 0:
-                    powers = (e,)
-                elif aD % q == 0:
-                    powers = (0,)
-                else:
-                    powers = range(e + 1)
-                a_q = l_q = 0
-                for i in powers:
-                    s = x1 ** i * x2 ** (e - i)
-                    a_q += s
-                    l_q += s * (e - 2 * i)
-                L = L * a_q + A * l_q * self._prime_log(q)
-                A *= a_q
-            acc += sgn * cs * L
-        v = acc % self.pW
+            n1 = prod(q ** e for q, e in ram if g % q)      # q | D1
+            if inert is None:
+                lam = sum((-e if g % q == 0 else e) * self._prime_log(q)
+                          for q, e in ram)
+            acc += sgn * cs * kronecker(D1, n // n1) * kronecker(D2, n1) * lam
+        v = tau * acc % self.pW
         cache[n] = v
         return v
 
@@ -698,12 +697,10 @@ def bc_residual(ctx: HeightContext, class_index: int, m: int,
     return min(d.valuation(), ctx.n_prec)
 
 
-def bc_report(ctx: HeightContext, m_max: int, classes=None,
-              mutate=None) -> dict:
+def bc_report(ctx: HeightContext, m_max: int, mutate=None) -> dict:
     """Residuals of the B/C operator identity over all classes and
     1 <= m <= m_max, as a JSON-ready verification report."""
-    classes = list(range(ctx.h)) if classes is None else sorted(classes)
-    cells = [(ci, m) for ci in classes for m in range(1, m_max + 1)]
+    cells = [(ci, m) for ci in range(ctx.h) for m in range(1, m_max + 1)]
     opmut = mutate if mutate in ("chi_perturb", "drop_euler_square") else None
     pre = []
     for ci, m in cells:

@@ -21,7 +21,8 @@ from padicheights.heights import (HeightContext, HeightError, _Cosets,
                                   fourier_am, height_fourier_residual,
                                   local_height_sum, uf_terms)
 from padicheights.padic import PadicNumber, sigma_A
-from padicheights.quadfield import QuadFieldError, class_norm, reduced_forms
+from padicheights.quadfield import (QuadFieldError, class_norm, kronecker,
+                                   reduced_forms)
 
 
 @pytest.fixture(scope="module")
@@ -316,17 +317,39 @@ def _sigma_oracle_ns(D, p, seed):
     return sorted(ns)
 
 
+def _genus_case_ns(D, p):
+    """n for each case of the closed form of sigma: two distinct primes
+    inert to odd powers (sigma = 0), an inert prime cubed, an inert prime
+    times a power of a ramified one, and an inert square times split
+    primes (p among them)."""
+    primes = [q for q in range(2, 100) if all(q % r for r in range(2, q))]
+    i1, i2, i3 = [q for q in primes if kronecker(D, q) == -1][:3]
+    s1, s2 = [q for q in primes if kronecker(D, q) == 1][:2]
+    ram = [q for q in primes if D % q == 0]
+    zero = {i1 * i2, i1 ** 3 * i2, i1 * i2 ** 3 * s1, i1 * i3 * s1 * s2,
+            i1 * i2 * i3 ** 2 * ram[0] ** 2, i1 * i2 * i3 * p}
+    ns = {i1 ** 3, i2 ** 3, i1 ** 3 * s1 ** 2, i1 ** 5 * p}
+    ns |= {i * r ** e for i in (i1, i2) for r in ram for e in (1, 2, 3)}
+    ns |= {i1 ** 3 * r * s1 for r in ram} | {i1 * D * D}
+    ns |= {i1 ** 2 * s1 * s2, i2 ** 2 * s1 ** 2 * p, i1 ** 2 * i2 ** 2 * s2,
+           i1 ** 4 * s1 ** 3 * s2, i1 ** 2 * s1 * ram[-1] ** 2}
+    return sorted(zero), sorted(ns)
+
+
 def test_sigma_res_oracle_all_classes(ctx_h2):
-    # h = 2, 4, 4 with 4, 4, 8 genus splits
+    # h = 2, 4, 4, 1 with 4, 4, 8, 2 genus splits; the last at level 4
     for ctx in (ctx_h2, HeightContext(-55, 13, 7, 2, 1, n_prec=30),
-                HeightContext(-195, 7, 11, 2, 1, n_prec=30)):
+                HeightContext(-195, 7, 11, 2, 1, n_prec=30),
+                HeightContext(-7, 4, 11, 2, 1, n_prec=30)):
         D, N, p = ctx.D, ctx.level, ctx.p
-        ns = _sigma_oracle_ns(D, p, -D)
+        zero, cases = _genus_case_ns(D, p)
+        ns = _sigma_oracle_ns(D, p, -D) + zero + cases
         for ci in range(ctx.h):
             na = class_norm(D, ci)
             for n in ns:
                 want = sigma_A(D, N, na, n, p, ctx.W).residue(ctx.W)
                 assert ctx.sigma_res(ci, n) == want, (D, ci, n)
+            assert all(ctx.sigma_res(ci, n) == 0 for n in zero)
 
 
 # ---------------------------------------------------------------------------
