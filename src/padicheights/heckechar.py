@@ -243,7 +243,8 @@ class CoeffSeries:
 # the character
 
 class HeckeChar:
-    """Value table of an unramified Hecke character of infinity type (ell, 0).
+    """An unramified Hecke character of infinity type (ell, 0), held as its
+    values on the class-group generators.
 
     Built by build_char; immutable afterwards.  chi_value evaluates on any
     integral ideal, r_chi sums values over the ideals of a given norm and
@@ -251,7 +252,7 @@ class HeckeChar:
     """
 
     def __init__(self, D, ell, mode, group, p, prec, s_D, nonres, gen_roots,
-                 table, prime_above, ground, audit):
+                 prime_above, ground, audit):
         self.D = D
         self.ell = ell
         self.k = ell // 2
@@ -262,7 +263,6 @@ class HeckeChar:
         self.s_D = s_D
         self.nonres = nonres
         self._gen_roots = gen_roots
-        self.table = table
         self.prime_above = prime_above
         self.ground = ground
         self.audit = audit
@@ -356,7 +356,7 @@ class HeckeChar:
 # construction
 
 def build_char(D, ell, mode, p=None, prec=None, twist=None):
-    """Build a Hecke character table; see the module docstring for modes.
+    """Build a Hecke character; see the module docstring for modes.
 
     twist optionally rotates each generator's root choice inside the list
     of admissible roots (one integer per class-group generator); the
@@ -461,9 +461,8 @@ def build_char(D, ell, mode, p=None, prec=None, twist=None):
             b += p
         prime_above = normalize_ideal(D, 1, p, b)
 
-    char = HeckeChar(D, ell, mode, G, p, prec, s_D, nonres, gen_roots, None,
+    char = HeckeChar(D, ell, mode, G, p, prec, s_D, nonres, gen_roots,
                      prime_above, ground, audit)
-    char.table = [char.chi_value(ideal_of_form(D, f)) for f in G.forms]
 
     # sanity: stored roots actually solve chi(g)^d = alpha^ell
     with char._ctx():
@@ -521,34 +520,4 @@ def lattice_theta_coeffs(char: HeckeChar, ideal, bound: int) -> CoeffSeries:
             for xbar in pts[n]:
                 acc = acc + xbar ** char.ell
             values.append(char.embed(acc) * inv)
-    return CoeffSeries(bound, values)
-
-
-def weighted_theta(char: HeckeChar, class_index: int, phi, bound: int,
-                   modulus=None) -> CoeffSeries:
-    """Theta coefficients with each lattice point weighted by phi(Q(x)),
-    phi applied to Q(x) mod modulus when a modulus is given.
-
-    The weight enters inside the lattice sum (not as a post-factor), so a
-    comparison against phi(n) * lattice_theta_coeffs(...) exercises the
-    factorization rather than assuming it.
-    """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    D = char.D
-    ideal = ideal_of_form(D, char.group.forms[class_index])
-    pts = lattice_points_by_norm(D, ideal, bound)
-    with char._ctx():
-        fac = char.chi_value(ideal_conj(D, ideal))
-        inv = 1 / fac if char.mode == "complex" else fac.inv()
-        values = []
-        for n in range(1, bound + 1):
-            acc = None
-            for xbar in pts[n]:
-                q = n if modulus is None else n % modulus
-                term = char.embed(xbar ** char.ell) * phi(q)
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = char.zero()
-            values.append(acc * inv)
     return CoeffSeries(bound, values)

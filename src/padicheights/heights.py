@@ -396,7 +396,6 @@ class HeightContext:
         self._plog = {}
         self._sigma_cache = {}
         self._class_const = {}
-        self._class_norms = {}
         self._build_splits()
 
     # -- serialization -------------------------------------------------------
@@ -415,13 +414,16 @@ class HeightContext:
         self._class_sig = []
         for ci in range(self.h):
             na = class_norm(self.D, ci)
-            self._class_norms[ci] = na
             self._class_sig.append(tuple(kronecker(D2, na)
                                          for _, _, D2, _ in self._splits))
 
     def _ensure_spf(self, limit: int):
         if self._spf is not None and self._spf.size > limit:
             return
+        # every n a bank reads has nN < m|D| < _QMAX_LIMIT
+        if limit * self.level >= _QMAX_LIMIT:
+            raise HeightError(f"hypothesis n*N < {_QMAX_LIMIT} of the sigma "
+                              f"sieve fails: n = {limit}, N = {self.level}")
         n = limit + 1
         spf = np.zeros(n, dtype=np.int32)
         for i in range(2, isqrt(limit) + 1):
@@ -606,9 +608,6 @@ class HeightContext:
         self._pair[key] = (cv, bv)
         return cv, bv
 
-    def class_norm_of(self, class_index: int) -> int:
-        return self._class_norms[class_index]
-
 
 # ---------------------------------------------------------------------------
 # public sequence accessors
@@ -677,14 +676,9 @@ def _op_pairs(ctx, class_index, m, mutate=None):
     return pairs
 
 
-def bc_residual(ctx: HeightContext, class_index: int, m: int,
-                mutate=None) -> int:
-    """Certified valuation of (operator applied to C) minus
-    (U^4 - p^(2r-2) U^2 applied to B), capped at the target precision.
-
-    mutate in {None, "h_plus_one", "chi_perturb", "drop_euler_square"}
-    injects a deliberate fault for verification of the verifier.
-    """
+def _bc_sides(ctx: HeightContext, class_index: int, m: int, mutate=None):
+    """(operator applied to C, (U^4 - p^(2r-2) U^2) applied to B) at
+    (class, m), with the faults of bc_residual."""
     variant = 1 if mutate == "h_plus_one" else 0
     opmut = mutate if mutate in ("chi_perturb", "drop_euler_square") else None
     ctx.prefetch(_op_pairs(ctx, class_index, m, opmut))
@@ -693,8 +687,19 @@ def bc_residual(ctx: HeightContext, class_index: int, m: int,
     p2 = ctx.p ** (2 * ctx.r - 2)
     rhs = ctx._cb(class_index, m * ctx.p ** 4, variant)[1] \
         - ctx._cb(class_index, m * ctx.p ** 2, variant)[1] * p2
-    d = lhs - rhs
-    return min(d.valuation(), ctx.n_prec)
+    return lhs, rhs
+
+
+def bc_residual(ctx: HeightContext, class_index: int, m: int,
+                mutate=None) -> int:
+    """Certified valuation of (operator applied to C) minus
+    (U^4 - p^(2r-2) U^2 applied to B), capped at the target precision.
+
+    mutate in {None, "h_plus_one", "chi_perturb", "drop_euler_square"}
+    injects a deliberate fault for verification of the verifier.
+    """
+    lhs, rhs = _bc_sides(ctx, class_index, m, mutate)
+    return min((lhs - rhs).valuation(), ctx.n_prec)
 
 
 def bc_report(ctx: HeightContext, m_max: int, mutate=None) -> dict:
@@ -722,33 +727,36 @@ def bc_report(ctx: HeightContext, m_max: int, mutate=None) -> dict:
 # ---------------------------------------------------------------------------
 # Fourier coefficients of the log-weighted measure
 
-def fourier_am(ctx: HeightContext, class_index: int, m: int, lam=None,
-               fast: bool = False) -> PadicNumber:
-    """a_m of the p-adic measure integral: the weighting lam applied to the
-    rationals (m|D| - nN) n^2 / (|D| d^2) inside the genus divisor sum.  The
-    default lam is log_p, which gives the log-weighted form.
+def _fourier_const(ctx: HeightContext) -> PadicNumber:
+    # every prime of N splits, so (D/N) = 1 and, with D < 0, (D/-N) = -1
+    # turns the general constant (-1)^(r-1) (D/-N) / (binom |D|^k) into this
+    return PadicNumber.from_rational(
+        ctx.p, Fraction((-1) ** ctx.r, ctx.binom * ctx.aD ** ctx.k), ctx.W)
 
-    The inner argument keeps d^2 in the denominator: the two evaluation
-    paths agree to working precision with this ratio and with no other,
-    and it continues the pre-substitution form (index - nN)/(|D_1| d^2).
 
-    fast=True routes the log-weighted form through the cached B sequence
-    (same value, bank-backed; used for large indices)."""
+def fourier_am(ctx: HeightContext, class_index: int, m: int) -> PadicNumber:
+    """a_m of the p-adic measure integral (see fourier_am_direct), read off
+    the banked B sequence: a_m = (-1)^r B_m / (binom |D|^k)."""
+    if m % ctx.p:
+        raise HeightError(f"hypothesis p | m fails: p = {ctx.p}, m = {m}")
+    return b_seq(ctx, class_index, m) * _fourier_const(ctx)
+
+
+def fourier_am_direct(ctx: HeightContext, class_index: int,
+                      m: int) -> PadicNumber:
+    """The oracle for fourier_am: log_p applied to the rationals
+    (m|D| - nN) n^2 / (|D| d^2) inside the genus divisor sum over n prime to
+    p, from heckechar.r_chi, epsilon_A and iwasawa_log, with no lattice
+    bank, no sigma_res and no B sequence.
+
+    The inner argument keeps d^2 in the denominator: the two paths agree to
+    working precision with this ratio and with no other, and it continues
+    the pre-substitution form (index - nN)/(|D_1| d^2)."""
     p, N, aD, W = ctx.p, ctx.level, ctx.aD, ctx.W
     if m % p:
         raise HeightError(f"hypothesis p | m fails: p = {p}, m = {m}")
-    if kronecker(ctx.D, N) != 1:
-        raise HeightError("hypothesis (D/N) = 1 fails")
-    # with (D/N) = 1 and D < 0, (D/-N) = -1 turns the general constant
-    # (-1)^(r-1) (D/-N) / (binom |D|^k) into this one
-    kq = Fraction((-1) ** ctx.r, ctx.binom * aD ** ctx.k)
-    if lam is None and fast:
-        return b_seq(ctx, class_index, m) * PadicNumber.from_rational(p, kq, W)
-    if lam is None:
-        def lam(x):
-            return iwasawa_log(p, x, W)
     MD = m * aD
-    na = ctx.class_norm_of(class_index)
+    na = class_norm(ctx.D, class_index)
     mh = Fraction(m ** ctx.m_H)
     acc = PadicNumber.zero(p)
     for n in range(1, MD // N + 1):
@@ -764,40 +772,55 @@ def fourier_am(ctx: HeightContext, class_index: int, m: int, lam=None,
         for d in divisors(n):
             e = epsilon_A(ctx.D, N, na, n, d)
             if e:
-                lv = lam(Fraction(j * n * n, aD * d * d)) * e
+                lv = iwasawa_log(p, Fraction(j * n * n, aD * d * d), W) * e
                 inner = lv if inner is None else inner + lv
         if inner is None:
             continue
         wgt = PadicNumber.from_rational(
             p, mh * ctx.Hpoly(Fraction(MD - 2 * n * N, MD)), W)
         acc = acc + rv * wgt * inner
-    return acc * PadicNumber.from_rational(p, kq, W)
+    return acc * _fourier_const(ctx)
 
 
 # ---------------------------------------------------------------------------
 # local height coefficient sum
 
-def local_height_sum(ctx: HeightContext, class_index: int, m: int,
-                     fast=None) -> PadicNumber:
-    """-(4|D|m)^(r-k-1) / (D^k binom(2r-2, r-k-1)) times the full divisor
-    sum over 0 < n < m|D|/N (no coprimality restriction), with unit factor
-    u = 1; the combinatorial value of the prime-to-p local height pairing
-    coefficient."""
-    p, N, aD, W = ctx.p, ctx.level, ctx.aD, ctx.W
-    if gcd(m, N) != 1:
-        raise HeightError(f"hypothesis gcd(m, N) = 1 fails: m = {m}, N = {N}")
-    if N <= 1:
-        raise HeightError("hypothesis N > 1 fails")
+def _height_const(ctx: HeightContext, m: int = 1) -> PadicNumber:
+    """-(4|D|m)^(r-k-1) / (D^k binom(2r-2, r-k-1)): the local height
+    normalisation with unit factor u = 1."""
+    return PadicNumber.from_rational(
+        ctx.p, Fraction(-((4 * ctx.aD * m) ** ctx.m_H),
+                        ctx.D ** ctx.k * ctx.binom), ctx.W)
+
+
+def _require_height_index(ctx: HeightContext, class_index: int, m: int):
+    if gcd(m, ctx.level) != 1:
+        raise HeightError(f"hypothesis gcd(m, N) = 1 fails: m = {m}, "
+                          f"N = {ctx.level}")
     if count_rA(ctx.D, class_index, m) != 0:
         raise HeightError(f"hypothesis r_A(m) = 0 fails: class {class_index} "
                           f"contains an ideal of norm {m}")
-    if fast is None:
-        fast = m * aD > 100_000
-    if fast:
-        kq = Fraction(-((4 * aD) ** ctx.m_H), ctx.D ** ctx.k * ctx.binom)
-        return c_seq(ctx, class_index, m) * PadicNumber.from_rational(p, kq, W)
+
+
+def local_height_sum(ctx: HeightContext, class_index: int,
+                     m: int) -> PadicNumber:
+    """The prime-to-p local height pairing coefficient (see
+    local_height_sum_direct), read off the banked C sequence, which carries
+    the factor m^(r-k-1) itself."""
+    _require_height_index(ctx, class_index, m)
+    return c_seq(ctx, class_index, m) * _height_const(ctx)
+
+
+def local_height_sum_direct(ctx: HeightContext, class_index: int,
+                            m: int) -> PadicNumber:
+    """The oracle for local_height_sum: -(4|D|m)^(r-k-1) / (D^k binom) times
+    the full divisor sum over 0 < n < m|D|/N (no coprimality restriction) of
+    r_chi(m|D| - nN) sigma_A(n) H(1 - 2nN/(m|D|)), from heckechar.r_chi and
+    padic.sigma_A, with no lattice bank and no sigma_res."""
+    _require_height_index(ctx, class_index, m)
+    p, N, aD, W = ctx.p, ctx.level, ctx.aD, ctx.W
     MD = m * aD
-    na = ctx.class_norm_of(class_index)
+    na = class_norm(ctx.D, class_index)
     acc = PadicNumber.zero(p)
     n = 1
     while n * N < MD:
@@ -809,14 +832,17 @@ def local_height_sum(ctx: HeightContext, class_index: int, m: int,
                 p, ctx.Hpoly(Fraction(MD - 2 * n * N, MD)), W)
             acc = acc + sg * rv * wgt
         n += 1
-    kq = Fraction(-((4 * aD * m) ** ctx.m_H), ctx.D ** ctx.k * ctx.binom)
-    return acc * PadicNumber.from_rational(p, kq, W)
+    return acc * _height_const(ctx, m)
 
 
 # ---------------------------------------------------------------------------
 # the height/Fourier cross identity
 
 def _hf_sides(ctx: HeightContext, class_index: int, m: int):
+    """The operator image of the local height sums, and (U^4 - p^(2r-2) U^2)
+    applied to (-1)^(r+k+1) (4|D|)^(r-k-1) a_m: on the bank paths, the B/C
+    sides of bc_residual times the one constant
+    K = (-1)^(k+1) (4|D|)^(r-k-1) / (binom |D|^k) of _height_const."""
     p = ctx.p
     if m % p:
         raise HeightError(f"hypothesis p | m fails: p = {p}, m = {m}")
@@ -830,16 +856,9 @@ def _hf_sides(ctx: HeightContext, class_index: int, m: int):
     if bad:
         raise HeightError("hypothesis r_A = 0 fails at " + ", ".join(
             f"(class {ci}, index {M})" for ci, M in bad))
-    ctx.prefetch(_op_pairs(ctx, class_index, m))
-    lhs = apply_UF(ctx, lambda s, mm: local_height_sum(ctx, s, mm, fast=True),
-                   class_index, m)
-    sgn_r = (-1) ** ctx.r
-    am4 = fourier_am(ctx, class_index, m * p ** 4, fast=True) * sgn_r
-    am2 = fourier_am(ctx, class_index, m * p ** 2, fast=True) * sgn_r
-    konst = PadicNumber.from_rational(
-        ctx.p, (-1) ** (ctx.k + 1) * (4 * ctx.aD) ** ctx.m_H, ctx.W)
-    rhs = (am4 - am2 * (p ** (2 * ctx.r - 2))) * konst
-    return lhs, rhs
+    lhs, rhs = _bc_sides(ctx, class_index, m)
+    konst = _height_const(ctx)
+    return lhs * konst, rhs * konst
 
 
 def height_fourier_residual(ctx: HeightContext, class_index: int,

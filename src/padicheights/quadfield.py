@@ -874,13 +874,16 @@ def class_norm(D: int, class_index: int) -> int:
 # ---------------------------------------------------------------------------
 # admissible parameter search
 
-def admissible_params(D: int, p: int | None = None, n_prime: bool = False,
-                      char_ell: int | None = None, search_bound: int = 100000):
+_SEARCH_BOUND = 100000      # largest level and prime admissible_params tries
+
+
+def admissible_params(D: int, p: int | None = None,
+                      char_ell: int | None = None):
     """Smallest (N, p): N >= 3 a product of distinct split primes with
     (D/N) = 1, p an odd split prime not dividing N.  Ordering minimizes N,
-    then p.  Optional constraints: fix p; require N prime; require that a
-    p-adic Hecke character of infinity type (char_ell, 0) with values in
-    Z_p exists (skips obstructed p).
+    then p.  Optional constraints: fix p; require that a p-adic Hecke
+    character of infinity type (char_ell, 0) with values in Z_p exists
+    (skips obstructed p).
     """
     validate_discriminant(D)
     if char_ell is not None and (char_ell <= 0 or char_ell % 2):
@@ -894,13 +897,11 @@ def admissible_params(D: int, p: int | None = None, n_prime: bool = False,
             raise QuadFieldError(f"hypothesis a character of infinity type "
                                  f"({char_ell}, 0) with values in Z_p exists "
                                  f"fails: p = {fixed_p}")
-    for N in range(3, search_bound + 1):
+    for N in range(3, _SEARCH_BOUND + 1):
         f = factorint(N)
         if any(e > 1 for e in f.values()):
             continue
         if any(kronecker(D, q) != 1 for q in f):
-            continue
-        if n_prime and not isprime(N):
             continue
         if kronecker(D, N) != 1:
             continue  # vacuous given split factors, kept as the stated contract
@@ -909,7 +910,7 @@ def admissible_params(D: int, p: int | None = None, n_prime: bool = False,
                 return (N, fixed_p)
             continue
         q = 3
-        while q <= search_bound:
+        while q <= _SEARCH_BOUND:
             if (q != 2 and isprime(q) and kronecker(D, q) == 1 and N % q != 0
                     and (char_ell is None or _zp_char_exists(D, q, char_ell))):
                 return (N, q)

@@ -21,7 +21,7 @@ from padicheights import cli
 from padicheights.cli import _hpoly_identity
 from padicheights.heckechar import build_char, lattice_theta_coeffs, theta_coeffs
 from padicheights.heights import (HeightContext, bc_report, crosscheck_report,
-                                  fourier_am)
+                                  fourier_am, fourier_am_direct)
 from padicheights.padic import iwasawa_log, teichmuller
 from padicheights.polykit import (coeff_identity_check, h_poly, jacobi_poly,
                                   laplace_integral_oracle)
@@ -267,8 +267,7 @@ def test_criterion_08_height_fourier_crosscheck():
              (-7, 23, 11, 3, 1, 33), (-7, 23, 11, 3, 2, 33))
     for D, level, p, r, k, m in cases:
         ctx = HeightContext(D, level, p, r, k, n_prec=30)
-        two_path = (fourier_am(ctx, 0, m, fast=True)
-                    == fourier_am(ctx, 0, m, fast=False))
+        two_path = fourier_am(ctx, 0, m) == fourier_am_direct(ctx, 0, m)
         rep = crosscheck_report(ctx, 0, m)
         ok = ok and two_path and rep["pass"]
         if not rep["pass"] and "sign_flip_residual" in rep:
@@ -282,8 +281,7 @@ def test_criterion_08_height_fourier_crosscheck():
     # the 1e9 bound where the float64 bank sums are proven exact
     level3, p3 = admissible_params(-23, char_ell=2)
     ctx3 = HeightContext(-23, level3, p3, 2, 1, n_prec=30)
-    ok = ok and (fourier_am(ctx3, 0, p3, fast=True)
-                 == fourier_am(ctx3, 0, p3, fast=False))
+    ok = ok and fourier_am(ctx3, 0, p3) == fourier_am_direct(ctx3, 0, p3)
     notes.append("h=3 residual check SKIPPED: smallest admissible m is 145, "
                  "whose top lattice norm 145*29^4*23 ~ 2.4e9 is past the "
                  "1e9 float64 exactness bound; two-path agreement ran at m=29")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from padicheights.heckechar import (CharBuildError, CoeffSeries,
                                     QuadExtValue, build_char,
                                     lattice_theta_coeffs, smallest_nonresidue,
-                                    theta_coeffs, weighted_theta)
+                                    theta_coeffs)
 from padicheights.padic import PadicNumber
 from padicheights.quadfield import (KElem, class_index_of_ideal,
                                     count_rA, discriminant_factorizations,
@@ -72,7 +72,8 @@ def test_build_is_deterministic():
     a = build_char(-23, 2, "padic", p=29, prec=10)
     b = build_char(-23, 2, "padic", p=29, prec=10)
     assert a.audit == b.audit
-    assert all(x == y for x, y in zip(a.table, b.table))
+    assert all(a.chi_value(ideal_of_form(-23, f))
+               == b.chi_value(ideal_of_form(-23, f)) for f in a.group.forms)
     c1 = build_char(-23, 2, "complex")
     c2 = build_char(-23, 2, "complex")
     assert c1.audit == c2.audit
@@ -303,7 +304,8 @@ def test_extension_valued_char_keeps_identity():
     # order-4 generator, p = 5: the fourth root lives outside Z_5
     ch = char(-39, 2, "padic", 5, 10)
     assert not ch.ground
-    assert isinstance(ch.table[1], QuadExtValue)
+    assert isinstance(ch.chi_value(ideal_of_form(-39, ch.group.forms[1])),
+                      QuadExtValue)
     G = ch.group
     for ci in range(G.h):
         lat = lattice_theta_coeffs(ch, ideal_of_form(-39, G.forms[ci]), 40)
@@ -438,46 +440,6 @@ def test_complex_twist_rotates_root():
     with mpmath.workdps(base.prec):
         zeta = mpmath.expjpi(mpmath.mpf(2) / 3)
         assert abs(base._gen_roots[0][1] * zeta - tw._gen_roots[0][1]) < 1e-30
-
-
-# ---------------------------------------------------------------------------
-# weighted theta
-
-def test_weighted_theta_trivial_weight():
-    ch = char(-7, 2, "exact")
-    wt = weighted_theta(ch, 0, lambda q: 1, 30)
-    lt = lattice_theta_coeffs(ch, unit_ideal(-7), 30)
-    assert all(wt.coeff(n) == lt.coeff(n) for n in range(1, 31))
-
-
-def test_weighted_theta_unit_indicator():
-    p = 11
-    ch = char(-7, 2, "exact")
-    wt = weighted_theta(ch, 0, lambda q: 0 if q == 0 else 1, 33, modulus=p)
-    lt = lattice_theta_coeffs(ch, unit_ideal(-7), 33)
-    for n in range(1, 34):
-        expect = KElem(-7, 0, 0) if n % p == 0 else lt.coeff(n)
-        assert wt.coeff(n) == expect
-    assert wt.coeff(11) == KElem(-7, 0, 0) and lt.coeff(11) != KElem(-7, 0, 0)
-
-
-def test_weighted_theta_matches_post_factor():
-    # nontrivial residue weight, applied per point versus per coefficient
-    ch = char(-7, 2, "exact")
-    phi = lambda q: Fraction(q * q + 3, 2)
-    wt = weighted_theta(ch, 0, phi, 25, modulus=5)
-    lt = lattice_theta_coeffs(ch, unit_ideal(-7), 25)
-    for n in range(1, 26):
-        assert wt.coeff(n) == lt.coeff(n) * phi(n % 5)
-
-
-def test_weighted_theta_padic_mode():
-    ch = char(-23, 2, "padic", 29, 10)
-    phi = lambda q: PadicNumber(29, 0, q + 1, 10)
-    wt = weighted_theta(ch, 1, phi, 20, modulus=29)
-    lt = lattice_theta_coeffs(ch, ideal_of_form(-23, ch.group.forms[1]), 20)
-    for n in range(1, 21):
-        assert wt.coeff(n) == lt.coeff(n) * phi(n % 29)
 
 
 # ---------------------------------------------------------------------------

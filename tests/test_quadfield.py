@@ -418,9 +418,11 @@ def test_admissible_params_frozen():
     assert qf.admissible_params(-23) == (3, 13)
 
 
-def test_admissible_params_constraints():
-    with pytest.raises(QuadFieldError):
-        qf.admissible_params(-7, n_prime=True, search_bound=10)
+def test_admissible_params_constraints(monkeypatch):
+    monkeypatch.setattr(qf, "_SEARCH_BOUND", 10)    # the first level is 11
+    with pytest.raises(QuadFieldError, match="search bound exceeded"):
+        qf.admissible_params(-7)
+    monkeypatch.undo()
     with pytest.raises(QuadFieldError):
         qf.admissible_params(-7, p=3)  # 3 is inert in Q(sqrt(-7))
 
