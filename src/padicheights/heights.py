@@ -371,6 +371,8 @@ class HeightContext:
         self.binom = comb(2 * r - 2, r - k - 1)
         self.Hpoly = h_poly(self.m_H, k)
         self.delta = lcm(*(c.denominator for c in self.Hpoly.coeffs))
+        # delta * H has integer coefficients, since delta is their lcm
+        self._gam = [(c * self.delta).numerator for c in self.Hpoly.coeffs]
         self.ledger = PrecisionLedger()
         vd = _vp(self.delta, p)
         self.ledger.log("weight polynomial denominator p-part", vd)
@@ -389,6 +391,7 @@ class HeightContext:
         self.chiPb = self.chi.chi_value(Pb)
         self.pW = p ** self.W
         self.shat = self.chi.s_D.residue(self.W)
+        self._hden_inv = pow(self.delta * self.aD ** self.m_H, -1, self.pW)
 
         self._banks = {}
         self._pair = {}
@@ -408,14 +411,21 @@ class HeightContext:
     # -- genus-weighted divisor sums ------------------------------------------
 
     def _build_splits(self):
+        # D, D1 and D2 are odd fundamental discriminants, so each (Di/.) is a
+        # character mod |Di| on the positive integers: one table apiece
+        def table(d):
+            return [kronecker(d, a) for a in range(abs(d))]
+
+        self._chiD = table(self.D)
         # one genus split D = D1 * D2 per coprime factorization, g = |D2|
-        self._splits = [(abs(D2), D1, D2, kronecker(D2, -self.level))
+        self._splits = [(abs(D2), table(D1), table(D2),
+                         kronecker(D2, -self.level))
                         for D1, D2 in discriminant_factorizations(self.D)]
         self._class_sig = []
         for ci in range(self.h):
             na = class_norm(self.D, ci)
-            self._class_sig.append(tuple(kronecker(D2, na)
-                                         for _, _, D2, _ in self._splits))
+            self._class_sig.append(tuple(chi2[na % g]
+                                         for g, _, chi2, _ in self._splits))
 
     def _ensure_spf(self, limit: int):
         if self._spf is not None and self._spf.size > limit:
@@ -451,6 +461,11 @@ class HeightContext:
                 e += 1
             yield q, e
 
+    def _sigma_dict(self, class_index: int) -> dict:
+        """The sigma cache n -> sigma_res(class_index, n), shared by the
+        classes of one genus signature."""
+        return self._sigma_cache.setdefault(self._class_sig[class_index], {})
+
     def sigma_res(self, class_index: int, n: int) -> int:
         """Residue mod p^W of sigma(n) = sum_{d | n} eps(d, n/d) log_p(n/d^2).
 
@@ -469,21 +484,19 @@ class HeightContext:
         sum_{q | D1} e log q - sum_{q | g} e log q.  p splits, so log_p(p)
         is never needed.  padic.sigma_A is the oracle.
         """
-        sig = self._class_sig[class_index]
-        cache = self._sigma_cache.get(sig)
-        if cache is None:
-            cache = self._sigma_cache.setdefault(sig, {})
+        cache = self._sigma_dict(class_index)
         v = cache.get(n)
         if v is not None:
             return v
         self._ensure_spf(n)
+        aD, chiD = self.aD, self._chiD
         tau = 1
         ram = []            # (q, e) for the primes of D
         inert = None        # the one (q0, e0) inert to an odd power
         for q, e in self._factor_spf(n):
-            if self.aD % q == 0:
+            if aD % q == 0:
                 ram.append((q, e))
-            elif kronecker(self.D, q) == 1:
+            elif chiD[q % aD] == 1:
                 tau *= e + 1
             elif e % 2:
                 if inert is not None:
@@ -494,14 +507,15 @@ class HeightContext:
             q0, e0 = inert
             lam = -(e0 + 1) * self._prime_log(q0)
         acc = 0
-        for (g, D1, D2, sgn), cs in zip(self._splits, sig):
+        for (g, chi1, chi2, sgn), cs in zip(self._splits,
+                                            self._class_sig[class_index]):
             if n % g:
                 continue
             n1 = prod(q ** e for q, e in ram if g % q)      # q | D1
             if inert is None:
                 lam = sum((-e if g % q == 0 else e) * self._prime_log(q)
                           for q, e in ram)
-            acc += sgn * cs * kronecker(D1, n // n1) * kronecker(D2, n1) * lam
+            acc += sgn * cs * chi1[n // n1 % len(chi1)] * chi2[n1 % g] * lam
         v = tau * acc % self.pW
         cache[n] = v
         return v
@@ -553,7 +567,11 @@ class HeightContext:
     # -- the B/C pair -----------------------------------------------------------
 
     def _cb(self, class_index: int, m: int, variant: int):
-        """(C_m, B_m) for one class, cached; variant 1 replaces H by H + 1."""
+        """(C_m, B_m) for one class, cached; variant 1 replaces H by H + 1.
+
+        The terms r_chi sigma pol are summed exactly as su sigma pol and
+        sv sigma pol, with r_chi = (su + sv shat) * the class theta
+        constant, split by p | n; the sums are reduced mod p^W once."""
         if not (isinstance(m, int) and m >= 1):
             raise HeightError("index m must be a positive integer")
         key = (class_index, m, variant)
@@ -563,48 +581,49 @@ class HeightContext:
         bank = self._bank(class_index)
         bank.ensure([m])
         ns, sus, svs = bank.series(m)
-        aD, N, p, pW = self.aD, self.level, self.p, self.pW
-        MD = m * aD
-        gam = []
-        for c in self.Hpoly.coeffs:
-            cd = c * self.delta
-            gam.append(cd.numerator)
-            assert cd.denominator == 1
-        mdpow = [MD ** (self.m_H - i) for i in range(self.m_H + 1)]
-        # variant 1 ("h_plus_one"): add 1 to the evaluated weight factor
-        # m^(r-k-1) H(t_n).  The degree-homogeneous replacement H -> H+1
-        # cancels identically in the operator identity (any weight that is
-        # a function of the ratio nN/(m|D|) telescopes), so the effective
-        # fault is the inhomogeneous one.
-        off = self.delta * aD ** self.m_H if variant else 0
+        N, p, pW = self.level, self.p, self.pW
+        MD = m * self.aD
+        # delta m^(r-k-1) H(t_n) |D|^(r-k-1) as a polynomial in w = MD - 2Nn,
+        # highest degree first.  Variant 1 ("h_plus_one") adds 1 to the
+        # evaluated weight factor m^(r-k-1) H(t_n).  The degree-homogeneous
+        # replacement H -> H+1 cancels identically in the operator identity
+        # (any weight that is a function of the ratio nN/(m|D|) telescopes),
+        # so the effective fault is the inhomogeneous one.
+        coefs = [g * MD ** (self.m_H - j) for j, g in enumerate(self._gam)]
+        if variant:
+            coefs[0] += self.delta * self.aD ** self.m_H
+        coefs.reverse()
+        # a constant pol (r - k = 1) multiplies the sums once, at the end
+        scale = coefs.pop() if len(coefs) == 1 else 1
         if ns:
             self._ensure_spf((MD - 1) // N)
-        shat = self.shat
-        tot_a = 0
-        tot_b = 0
+        cache = self._sigma_dict(class_index)
         sres = self.sigma_res
-        for i in range(len(ns)):
-            t = (sus[i] + svs[i] * shat) % pW
-            if not t:
-                continue
-            n = ns[i]
-            sg = sres(class_index, n)
+        u0 = v0 = up = vp = 0       # sums over n prime to p, and over p | n
+        for n, su, sv in zip(ns, sus, svs):
+            sg = cache.get(n)
+            if sg is None:
+                sg = sres(class_index, n)
             if not sg:
                 continue
-            w = MD - 2 * N * n
-            pol = off
-            wp = 1
-            for j in range(self.m_H + 1):
-                pol += gam[j] * mdpow[j] * wp
-                wp *= w
-            term = t * sg % pW * pol
-            tot_a += term
+            if coefs:
+                w = MD - 2 * N * n
+                pol = 0
+                for cf in coefs:
+                    pol = pol * w + cf
+                sg *= pol
             if n % p:
-                tot_b += term
-        konst = self._class_theta_const(class_index) * pow(
-            self.delta * aD ** self.m_H, -1, pW) % pW
-        cv = PadicNumber(p, 0, tot_a % pW * konst % pW, self.W)
-        bv = PadicNumber(p, 0, tot_b % pW * konst % pW, self.W)
+                u0 += su * sg
+                v0 += sv * sg
+            else:
+                up += su * sg
+                vp += sv * sg
+        konst = self._class_theta_const(class_index) * self._hden_inv \
+            * scale % pW
+        b = (u0 + v0 * self.shat) % pW
+        c = (b + up + vp * self.shat) % pW
+        cv = PadicNumber(p, 0, c * konst % pW, self.W)
+        bv = PadicNumber(p, 0, b * konst % pW, self.W)
         self._pair[key] = (cv, bv)
         return cv, bv
 

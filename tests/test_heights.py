@@ -22,8 +22,9 @@ from padicheights.heights import (HeightContext, HeightError, _Cosets,
                                   height_fourier_residual, local_height_sum,
                                   local_height_sum_direct, uf_terms)
 from padicheights.padic import PadicNumber, sigma_A
-from padicheights.quadfield import (QuadFieldError, class_norm, kronecker,
-                                   reduced_forms)
+from padicheights.quadfield import (QuadFieldError, admissible_params,
+                                   class_norm, discriminant_factorizations,
+                                   isprime, kronecker, reduced_forms)
 
 
 @pytest.fixture(scope="module")
@@ -362,8 +363,68 @@ def test_sigma_res_refuses_n_past_the_sieve_bound():
     assert ctx._spf is None
 
 
+@pytest.mark.parametrize("D", [-7, -15, -23, -31, -51, -55, -59, -195])
+def test_character_tables_match_kronecker(D):
+    level, p = admissible_params(D, char_ell=2)
+    ctx = HeightContext(D, level, p, 2, 1, n_prec=10)
+    splits = discriminant_factorizations(D)
+    assert len(ctx._splits) == len(splits)
+    for (g, chi1, chi2, _), (D1, D2) in zip(ctx._splits, splits):
+        assert (len(chi1), len(chi2), g) == (abs(D1), abs(D2), abs(D2))
+        for a in range(1, 4 * abs(D) + 1):
+            assert chi1[a % abs(D1)] == kronecker(D1, a), (D1, a)
+            assert chi2[a % abs(D2)] == kronecker(D2, a), (D2, a)
+    for q in range(3, 2000):
+        if isprime(q) and D % q:
+            assert ctx._chiD[q % -D] == kronecker(D, q), q
+
+
 # ---------------------------------------------------------------------------
 # the B/C pair
+
+
+def _termwise_cb(ctx, ci, m, variant):
+    """(C_m, B_m) residues by the per-term loop: each term reduced mod p^W,
+    with the terms where r_chi or sigma vanishes mod p^W skipped."""
+    pW, N, MD = ctx.pW, ctx.level, m * ctx.aD
+    gam = [int(c * ctx.delta) for c in ctx.Hpoly.coeffs]
+    off = ctx.delta * ctx.aD ** ctx.m_H if variant else 0
+    tot_c = tot_b = 0
+    for n, su, sv in zip(*ctx._bank(ci).series(m)):
+        t = (su + sv * ctx.shat) % pW
+        sg = ctx.sigma_res(ci, n)
+        if not (t and sg):
+            continue
+        w = MD - 2 * N * n
+        pol = off + sum(g * MD ** (ctx.m_H - j) * w ** j
+                        for j, g in enumerate(gam))
+        term = t * sg % pW * pol
+        tot_c += term
+        if n % ctx.p:
+            tot_b += term
+    konst = ctx._class_theta_const(ci) * pow(ctx.delta * ctx.aD ** ctx.m_H,
+                                             -1, pW)
+    return tot_c * konst % pW, tot_b * konst % pW
+
+
+def test_cb_matches_termwise_sum():
+    # (3, 1) has m_H = 1; the indices m p put p | n into the sums
+    cases = [(HeightContext(-7, 23, 11, 2, 1, n_prec=30), 0),
+             (HeightContext(-7, 23, 11, 3, 1, n_prec=30), 0)]
+    ctx = HeightContext(-31, 7, 5, 2, 1, n_prec=30)
+    cases += [(ctx, ci) for ci in range(ctx.h)]
+    assert cases[1][0].m_H == 1
+    p_part = 0
+    for ctx, ci in cases:
+        for m in (7, 7 * ctx.p):
+            ctx.prefetch([(ci, m)])
+            for variant in (0, 1):
+                want = _termwise_cb(ctx, ci, m, variant)
+                cv, bv = ctx._cb(ci, m, variant)
+                got = (cv.residue(ctx.W), bv.residue(ctx.W))
+                assert got == want, (ctx.D, ctx.r, ctx.k, ci, m, variant)
+                p_part += want[0] != want[1]
+    assert p_part
 
 
 def test_c_seq_empty_sum_is_zero(ctx21):
