@@ -15,8 +15,13 @@ coefficient sum, and the end-to-end height/Fourier residual.
 
 Everything runs in plain integer arithmetic mod p^W with W = n_prec + 10
 guard digits; theta coefficients come from a vectorized lattice enumeration
-whose per-norm sums are exact (the float64 bincount accumulators never
-exceed 2^53, split into 26-bit halves when single words could).  Index m
+whose per-norm sums are exact in any order of addition: every weight is an
+integer, and every partial sum of the float64 accumulators is bounded by
+_COUNT_BOUND times the largest weight, below 2^53 (weights split into 26-bit
+halves when single words could pass it).  The scan bins one block of
+_BLOCK_CELLS points at a time straight into the bank, and the series are read
+out in chunks of as many positions, so the scratch memory of a scan or a sum
+is a few dozen 8-byte words per block cell, whatever the bank's size.  Index m
 only reads norms in the residue class of m|D| mod N, so each class bank
 keeps one strided array per residue (see _ThetaBank), which bounds it by
 the largest requested norm without a memory cap.  The scan visits only
@@ -44,11 +49,16 @@ GUARD = 10
 _MASK26 = (1 << 26) - 1
 # crude but provable bound on the number of lattice points of a given norm
 # (2 * sum over divisors of |kronecker| <= 2 * d(n), and d(n) < 2^11 for
-# n < 10^9, which _ThetaBank._scan enforces through _QMAX_LIMIT); keeps
-# every float64 bin sum exact
+# n < 10^9, which _ThetaBank._scan enforces through _QMAX_LIMIT).  A bin's
+# partial sums add integer weights of that norm's points in some order, so
+# each one is an integer of size < _COUNT_BOUND * max|w| < 2^53: exact in
+# float64 whatever the order, hence exact when np.add.at accumulates
 _COUNT_BOUND = 1 << 12
 _QMAX_LIMIT = 10 ** 9
-_BLOCK_CELLS = 4_000_000
+# points per scan block and positions per series chunk: the scratch memory
+# of a scan (a few dozen int64 arrays of this length) and of a sum (python
+# lists of this length) is bounded by it, not by the bank's size
+_BLOCK_CELLS = 1 << 16
 
 
 class HeightError(ValueError):
@@ -205,28 +215,50 @@ class _ThetaBank:
             self._scan(tops)
 
     def series(self, m: int):
-        """(ns, sus, svs) python lists: the n with a nonzero lattice sum for
-        index m, with exact integer SUM U, SUM V values."""
+        """Yield (ns, sus, svs) python lists, one chunk of at most
+        _BLOCK_CELLS consecutive n at a time, in increasing n: the n with a
+        nonzero lattice sum for index m, with exact integer SUM U, SUM V
+        values.  Chunks with no such n are skipped."""
+        rho, K = self._position(m)
+        arrays = self.arrays[rho]
+        for i0 in range(0, K, _BLOCK_CELLS):
+            i1 = min(i0 + _BLOCK_CELLS, K)
+            # positions K-1-i0 .. K-i1 reversed: view index i is n = i0+i+1
+            views = [[a[K - i1:K - i0][::-1] for a in parts]
+                     for parts in arrays]
+            idx = np.nonzero(np.logical_or.reduce(
+                [a != 0 for parts in views for a in parts]))[0]
+            if idx.size:
+                sus, svs = (self._exact(parts, idx) for parts in views)
+                yield (idx + (i0 + 1)).tolist(), sus, svs
+
+    def term(self, m: int, n: int):
+        """The exact (SUM U, SUM V) of index m at n (zeros off its range)."""
+        rho, K = self._position(m)
+        if not 1 <= n <= K:
+            return 0, 0
+        pos = [K - n]
+        (su,), (sv,) = (self._exact(parts, pos) for parts in self.arrays[rho])
+        return su, sv
+
+    def _position(self, m: int):
+        """(rho, K): index m reads n at position K - n of residue rho."""
         N = self.ctx.level
         MD = m * self.ctx.aD
         rho = MD % N
         if MD > self.tops.get(rho, 0):
             raise HeightError("theta bank not prepared for this index")
-        # positions K-1 .. 0 reversed: view index i is n = i + 1
-        K = (MD - rho) // N
-        views = [[a[:K][::-1] for a in parts] for parts in self.arrays[rho]]
-        idx = np.nonzero(np.logical_or.reduce(
-            [a != 0 for parts in views for a in parts]))[0]
+        return rho, (MD - rho) // N
+
+    def _exact(self, parts, idx):
+        """The python ints at positions idx of one sum's float64 parts."""
         # the float64 parts are exact integers by construction; a 26-bit hi
         # part shifted back up can pass 2^63, so it is added in python ints
-        ints = [[a[idx].astype(np.int64).tolist() for a in parts]
-                for parts in views]
+        ints = [a[idx].astype(np.int64).tolist() for a in parts]
         if self.split:
-            sus, svs = ([lo + (hi << 26) for lo, hi in zip(*part_lists)]
-                        for part_lists in ints)
-        else:
-            (sus,), (svs,) = ints
-        return (idx + 1).tolist(), sus, svs
+            lo, hi = ints
+            return [x + (y << 26) for x, y in zip(lo, hi)]
+        return ints[0]
 
     # -- internals ------------------------------------------------------------
 
@@ -314,9 +346,9 @@ class _ThetaBank:
         return store
 
     def _bin(self, store, idx, U, V):
-        # bin into the block's own index span, not the whole array
-        lo = int(idx.min())
-        idx = idx - lo
+        # np.add.at touches only the block's own bins: no scratch array spans
+        # the index range, which for a block that crosses every row is most
+        # of the residue
         su, sv = store
         if len(su) == 2:        # the 26-bit split
             parts = ((U & _MASK26, U >> 26), (V & _MASK26, V >> 26))
@@ -324,8 +356,7 @@ class _ThetaBank:
             parts = ((U,), (V,))
         for arrs, ps in ((su, parts[0]), (sv, parts[1])):
             for arr, w in zip(arrs, ps):
-                sums = np.bincount(idx, weights=w.astype(np.float64))
-                arr[lo:lo + sums.size] += sums
+                np.add.at(arr, idx, w.astype(np.float64))
 
 
 class HeightContext:
@@ -556,12 +587,10 @@ class HeightContext:
         """r_chi(class, m|D| - nN) mod p^W straight from the lattice bank."""
         bank = self._bank(class_index)
         bank.ensure([m])
-        ns, sus, svs = bank.series(m)
-        try:
-            i = ns.index(n)
-        except ValueError:
+        su, sv = bank.term(m, n)
+        if not (su or sv):      # a zero term needs no class theta constant
             return 0
-        return (sus[i] + svs[i] * self.shat) * self._class_theta_const(
+        return (su + sv * self.shat) * self._class_theta_const(
             class_index) % self.pW
 
     # -- the B/C pair -----------------------------------------------------------
@@ -580,7 +609,6 @@ class HeightContext:
             return hit
         bank = self._bank(class_index)
         bank.ensure([m])
-        ns, sus, svs = bank.series(m)
         N, p, pW = self.level, self.p, self.pW
         MD = m * self.aD
         # delta m^(r-k-1) H(t_n) |D|^(r-k-1) as a polynomial in w = MD - 2Nn,
@@ -595,29 +623,30 @@ class HeightContext:
         coefs.reverse()
         # a constant pol (r - k = 1) multiplies the sums once, at the end
         scale = coefs.pop() if len(coefs) == 1 else 1
-        if ns:
-            self._ensure_spf((MD - 1) // N)
         cache = self._sigma_dict(class_index)
         sres = self.sigma_res
         u0 = v0 = up = vp = 0       # sums over n prime to p, and over p | n
-        for n, su, sv in zip(ns, sus, svs):
-            sg = cache.get(n)
-            if sg is None:
-                sg = sres(class_index, n)
-            if not sg:
-                continue
-            if coefs:
-                w = MD - 2 * N * n
-                pol = 0
-                for cf in coefs:
-                    pol = pol * w + cf
-                sg *= pol
-            if n % p:
-                u0 += su * sg
-                v0 += sv * sg
-            else:
-                up += su * sg
-                vp += sv * sg
+        for ns, sus, svs in bank.series(m):
+            # one sieve for the whole index, built only when a term exists
+            self._ensure_spf((MD - 1) // N)
+            for n, su, sv in zip(ns, sus, svs):
+                sg = cache.get(n)
+                if sg is None:
+                    sg = sres(class_index, n)
+                if not sg:
+                    continue
+                if coefs:
+                    w = MD - 2 * N * n
+                    pol = 0
+                    for cf in coefs:
+                        pol = pol * w + cf
+                    sg *= pol
+                if n % p:
+                    u0 += su * sg
+                    v0 += sv * sg
+                else:
+                    up += su * sg
+                    vp += sv * sg
         konst = self._class_theta_const(class_index) * self._hden_inv \
             * scale % pW
         b = (u0 + v0 * self.shat) % pW

@@ -8,6 +8,7 @@ package's purpose; the mutation tests check that they can actually fail.
 
 import json
 import random
+import tracemalloc
 from math import isqrt
 
 import pytest
@@ -134,6 +135,18 @@ def test_bank_matches_theta_coefficients_two_classes(ctx_h2):
             assert ctx_h2.theta_residue(ci, 50, n) == want
 
 
+def _series(bank, m):
+    """bank.series(m) with its chunks concatenated; each chunk must be
+    non-empty and the n strictly increasing."""
+    ns, sus, svs = [], [], []
+    for chunk in bank.series(m):
+        assert chunk[0]
+        for acc, part in zip((ns, sus, svs), chunk):
+            acc.extend(part)
+    assert all(a < b for a, b in zip(ns, ns[1:]))
+    return ns, sus, svs
+
+
 def _brute_series(form, D, ell, m, aD, level):
     a, b, c = form
     md = m * aD
@@ -164,7 +177,7 @@ def test_strided_split_bank_vs_bruteforce():
     ctx.prefetch([(0, m)])
     bank = ctx._bank(0)
     assert bank.split
-    ns, sus, svs = bank.series(m)
+    ns, sus, svs = _series(bank, m)
     want = _brute_series(ctx.group.forms[0], -7, 4, m, 7, 23)
     assert dict(zip(ns, zip(sus, svs))) == want
 
@@ -175,7 +188,7 @@ def test_strided_direct_bank_vs_bruteforce():
     ctx.prefetch([(0, m)])
     bank = ctx._bank(0)
     assert not bank.split
-    ns, sus, svs = bank.series(m)
+    ns, sus, svs = _series(bank, m)
     want = _brute_series(ctx.group.forms[0], -7, 2, m, 7, 23)
     assert dict(zip(ns, zip(sus, svs))) == want
 
@@ -198,7 +211,7 @@ def test_residue_bank_prefetch_order(ms):
     for m in ms:
         ctx.prefetch([(0, m)])
     for m in ms:
-        ns, sus, svs = bank.series(m)
+        ns, sus, svs = _series(bank, m)
         want = _brute_series(ctx.group.forms[0], -7, 2, m, 7, 23)
         assert dict(zip(ns, zip(sus, svs))) == want
 
@@ -234,7 +247,7 @@ def test_cosets_vs_bruteforce(D, N):
 def _assert_bank_matches_brute(ctx, ci, ms):
     bank = ctx._bank(ci)
     for m in ms:
-        ns, sus, svs = bank.series(m)
+        ns, sus, svs = _series(bank, m)
         want = _brute_series(ctx.group.forms[ci], ctx.D, ctx.ell, m, ctx.aD,
                              ctx.level)
         assert dict(zip(ns, zip(sus, svs))) == want, (ci, m)
@@ -292,6 +305,24 @@ def test_bank_split_switch_rescans_held_residues():
     # the weights of the large index pass 2^26, so its high words are used
     assert bank.arrays[40_000 * 7 % 23][0][1].any()
     _assert_bank_matches_brute(ctx, 0, [50, 51])
+
+
+def test_scan_scratch_is_bounded_by_the_block():
+    # the operator cells of crosscheck (-7, 23, 11, 3, 2) at m = 33 reach
+    # m p^4 = 483153: their banks take 4.9 MiB, and a scan that binned whole
+    # residues at once took 33 MiB of scratch on top of them.  Blocks of
+    # 2^16 points take fewer than 24 eight-byte words per point: 12 MiB
+    ctx = HeightContext(-7, 23, 11, 3, 2)
+    tracemalloc.start()
+    try:
+        ctx.prefetch(heights._op_pairs(ctx, 0, 33))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bank = sum(a.nbytes for bk in ctx._banks.values()
+               for sums in bk.arrays.values() for parts in sums for a in parts)
+    assert bank > 4 << 20
+    assert peak - bank < 12 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +421,7 @@ def _termwise_cb(ctx, ci, m, variant):
     gam = [int(c * ctx.delta) for c in ctx.Hpoly.coeffs]
     off = ctx.delta * ctx.aD ** ctx.m_H if variant else 0
     tot_c = tot_b = 0
-    for n, su, sv in zip(*ctx._bank(ci).series(m)):
+    for n, su, sv in zip(*_series(ctx._bank(ci), m)):
         t = (su + sv * ctx.shat) % pW
         sg = ctx.sigma_res(ci, n)
         if not (t and sg):
@@ -425,6 +456,30 @@ def test_cb_matches_termwise_sum():
                 assert got == want, (ctx.D, ctx.r, ctx.k, ci, m, variant)
                 p_part += want[0] != want[1]
     assert p_part
+
+
+@pytest.mark.parametrize("args, m, split", [((-7, 23, 11, 2, 1), 2000, False),
+                                            ((-7, 23, 11, 3, 2), 20_000, True)])
+def test_series_chunks_cut_anywhere(monkeypatch, args, m, split):
+    # 7-position chunks: the series and the B/C sum read every chunk boundary
+    monkeypatch.setattr(heights, "_BLOCK_CELLS", 7)
+    ctx = HeightContext(*args, n_prec=30)
+    ctx.prefetch([(0, m)])
+    bank = ctx._bank(0)
+    assert bank.split == split
+    chunks = list(bank.series(m))
+    assert len(chunks) > 50
+    assert all(ns[-1] - ns[0] < 7 for ns, _, _ in chunks)
+    ns, sus, svs = _series(bank, m)
+    want = _brute_series(ctx.group.forms[0], ctx.D, ctx.ell, m, ctx.aD,
+                         ctx.level)
+    assert dict(zip(ns, zip(sus, svs))) == want
+    for mm in (7, 7 * ctx.p ** 2):
+        ctx.prefetch([(0, mm)])
+        for variant in (0, 1):
+            cv, bv = ctx._cb(0, mm, variant)
+            assert (cv.residue(ctx.W), bv.residue(ctx.W)) == \
+                _termwise_cb(ctx, 0, mm, variant)
 
 
 def test_c_seq_empty_sum_is_zero(ctx21):
