@@ -19,14 +19,19 @@ whose per-norm sums are exact in any order of addition: every weight is an
 integer, and every partial sum of the float64 accumulators is bounded by
 _COUNT_BOUND times the largest weight, below 2^53 (weights split into 26-bit
 halves when single words could pass it).  The scan bins one block of
-_BLOCK_CELLS points at a time straight into the bank, and the series are read
-out in chunks of as many positions, so the scratch memory of a scan or a sum
-is a few dozen 8-byte words per block cell, whatever the bank's size.  Index m
-only reads norms in the residue class of m|D| mod N, so each class bank
-keeps one strided array per residue (see _ThetaBank), which bounds it by
-the largest requested norm without a memory cap.  The scan visits only
-those points: the cosets of N Z^2 on which the form takes a requested
-residue (see _Cosets), each inside that residue's own ellipse.
+_BLOCK_CELLS points at a time into a dense array of the residue it scans, and
+the series are read out in chunks of as many n, so the scratch memory of a
+scan is a few dozen 8-byte words per block cell beside one residue's dense
+array, and that of a sum is bounded by the block, whatever the bank's size.
+Index m only reads norms in the residue class of m|D| mod N, and the scan
+visits only those points: the cosets of N Z^2 on which the form takes a
+requested residue (see _Cosets), each inside that residue's own ellipse.
+Classes c and c^-1 share one bank, since (s, t) -> (s, -t) maps the lattice of
+the reduced form (a, b, c) onto that of (a, -b, c) and negates SUM V; so c^-1
+reads the bank of c with SUM V negated, and their B/C sums come from one pass.
+Per residue the bank keeps one int32 position plus one float64 word per part
+for each nonzero norm below the largest requested norm (see _ThetaBank), per
+inverse pair, with no memory cap.
 """
 
 from __future__ import annotations
@@ -170,40 +175,49 @@ class _Cosets:
 
 
 class _ThetaBank:
-    """Per-class exact sums (SUM U, SUM V) of xbar^ell over lattice points,
-    grouped by norm j.
+    """Exact sums (SUM U, SUM V) of xbar^ell over the lattice points of one
+    inverse-class pair {c, c^-1}, grouped by norm j.
+
+    The reduced forms of c and c^-1 are (a, b, c) and (a, -b, c) (a class
+    with an ambiguous form is its own inverse), and (s, t) -> (s, -t) maps
+    the lattice of one onto the other, keeping the norm and sending
+    u + v sqrt(D) to u - v sqrt(D).  So the bank scans the form of the
+    pair's smaller class index, and the other class reads the same sums
+    with SUM V negated (the sign argument of series and term).
 
     Index m reads j = m|D| - nN for 1 <= n < m|D|/N, an arithmetic
-    progression in the residue rho = m|D| mod N.  The bank keeps one
-    strided array per requested residue: position i holds the sums at
-    j = rho + iN, for every j below the largest m|D| requested in that
-    residue (its top), so position K - n of index m (K = (m|D| - rho)/N) is
-    its n-th term.  A residue's array is as long as its largest index alone
-    needs, and the arrays of distinct residues never overlap, so the bank
-    never holds more than one float64 word per part for each j below the
-    largest requested m|D|; it needs no memory cap of its own.
+    progression in the residue rho = m|D| mod N.  For each requested
+    residue the bank keeps the sorted int32 positions i of the nonzero sums
+    at j = rho + iN, for j below the largest m|D| requested in that residue
+    (its top), with the float64 parts of both sums at those positions;
+    index m reads its n-th term at position K - n (K = (m|D| - rho)/N).
+    The residues never overlap, so the bank of a pair holds one int32
+    position plus one float64 word per part for each nonzero norm below
+    the largest requested m|D|; it needs no memory cap of its own.
 
     The scan visits only points that some residue reads.  The points with
     Q = rho (mod N) are the cosets (s0, t0) + N Z^2 that _Cosets lists, and
     each coset is cut into rows s = s0 + Ni, whose exact t-span inside the
     residue's own ellipse Q < top follows from 4cQ = (2ct + bs)^2 + |D|s^2.
-    A residue is rescanned only when its top grows (or the 26-bit split
-    switches on), so a bank prefetched one index at a time keeps the
-    arrays of the residues it already holds."""
+    A residue is binned into one dense array per part and compacted when
+    its scan ends, so only the residue being scanned is ever dense.  It is
+    rescanned only when its top grows (or the 26-bit split switches on), so
+    a bank prefetched one index at a time keeps the residues it holds."""
 
     def __init__(self, ctx, class_index: int):
-        self.ctx = ctx
-        self.class_index = class_index
+        # no reference back to ctx: without a cycle, a context and its
+        # banks are freed as soon as the last caller drops the context
+        self.D, self.aD, self.N, self.ell = ctx.D, ctx.aD, ctx.level, ctx.ell
         self.form = ctx.group.forms[class_index]
         self.tops = {}             # rho -> largest m|D| requested in rho
-        self.arrays = {}           # rho -> (su_parts, sv_parts) float64 arrays
+        self.arrays = {}           # rho -> (positions, su_parts, sv_parts)
         self.split = False
         self._cosets = _Cosets(self.form, ctx.D, ctx.level)
 
     # -- public -------------------------------------------------------------
 
     def ensure(self, m_values):
-        aD, N = self.ctx.aD, self.ctx.level
+        aD, N = self.aD, self.N
         tops = dict(self.tops)
         for m in m_values:
             if m < 1:
@@ -214,47 +228,49 @@ class _ThetaBank:
         if tops != self.tops:
             self._scan(tops)
 
-    def series(self, m: int):
+    def series(self, m: int, sign: int = 1):
         """Yield (ns, sus, svs) python lists, one chunk of at most
         _BLOCK_CELLS consecutive n at a time, in increasing n: the n with a
-        nonzero lattice sum for index m, with exact integer SUM U, SUM V
-        values.  Chunks with no such n are skipped."""
+        nonzero lattice sum for index m, with exact integer SUM U and
+        sign * SUM V values.  Chunks with no such n are skipped."""
         rho, K = self._position(m)
-        arrays = self.arrays[rho]
+        pos, su, sv = self.arrays[rho]
         for i0 in range(0, K, _BLOCK_CELLS):
-            i1 = min(i0 + _BLOCK_CELLS, K)
-            # positions K-1-i0 .. K-i1 reversed: view index i is n = i0+i+1
-            views = [[a[K - i1:K - i0][::-1] for a in parts]
-                     for parts in arrays]
-            idx = np.nonzero(np.logical_or.reduce(
-                [a != 0 for parts in views for a in parts]))[0]
-            if idx.size:
-                sus, svs = (self._exact(parts, idx) for parts in views)
-                yield (idx + (i0 + 1)).tolist(), sus, svs
+            # n in (i0, i1] sits at positions K - i1 .. K - i0 - 1
+            lo, hi = np.searchsorted(
+                pos, (K - min(i0 + _BLOCK_CELLS, K), K - i0)).tolist()
+            if lo < hi:
+                yield ((K - pos[lo:hi][::-1]).tolist(),
+                       self._exact([a[lo:hi][::-1] for a in su], 1),
+                       self._exact([a[lo:hi][::-1] for a in sv], sign))
 
-    def term(self, m: int, n: int):
-        """The exact (SUM U, SUM V) of index m at n (zeros off its range)."""
+    def term(self, m: int, n: int, sign: int = 1):
+        """The exact (SUM U, sign * SUM V) of index m at n (zeros off its
+        range)."""
         rho, K = self._position(m)
-        if not 1 <= n <= K:
+        pos, su, sv = self.arrays[rho]
+        i = int(np.searchsorted(pos, K - n))
+        if not 1 <= n <= K or i == pos.size or pos[i] != K - n:
             return 0, 0
-        pos = [K - n]
-        (su,), (sv,) = (self._exact(parts, pos) for parts in self.arrays[rho])
-        return su, sv
+        (u,), (v,) = (self._exact([a[i:i + 1] for a in parts], sg)
+                      for parts, sg in ((su, 1), (sv, sign)))
+        return u, v
 
     def _position(self, m: int):
         """(rho, K): index m reads n at position K - n of residue rho."""
-        N = self.ctx.level
-        MD = m * self.ctx.aD
+        N = self.N
+        MD = m * self.aD
         rho = MD % N
         if MD > self.tops.get(rho, 0):
             raise HeightError("theta bank not prepared for this index")
         return rho, (MD - rho) // N
 
-    def _exact(self, parts, idx):
-        """The python ints at positions idx of one sum's float64 parts."""
+    def _exact(self, parts, sign: int):
+        """The python ints of one sum's float64 parts, times sign."""
         # the float64 parts are exact integers by construction; a 26-bit hi
         # part shifted back up can pass 2^63, so it is added in python ints
-        ints = [a[idx].astype(np.int64).tolist() for a in parts]
+        ints = [(-a if sign < 0 else a).astype(np.int64).tolist()
+                for a in parts]
         if self.split:
             lo, hi = ints
             return [x + (y << 26) for x, y in zip(lo, hi)]
@@ -263,8 +279,7 @@ class _ThetaBank:
     # -- internals ------------------------------------------------------------
 
     def _scan(self, tops):
-        ctx = self.ctx
-        aD, ell = ctx.aD, ctx.ell
+        aD, ell = self.aD, self.ell
         a, b, c = self.form
         qmax = max(tops.values())
         if qmax >= _QMAX_LIMIT:
@@ -273,7 +288,7 @@ class _ThetaBank:
         smax = isqrt(4 * c * qmax // aD) + 1
         tmax = isqrt(4 * a * qmax // aD) + 1
         umax = 2 * a * smax + abs(b) * tmax
-        bu, bv = _weight_bound(umax, tmax, ctx.D, ell)
+        bu, bv = _weight_bound(umax, tmax, self.D, ell)
         if max(bu, bv) >= 1 << 62:
             raise HeightError("lattice weights exceed the 64-bit exact range")
         split = max(bu, bv) * _COUNT_BOUND >= 1 << 53
@@ -288,9 +303,8 @@ class _ThetaBank:
 
     def _scan_residue(self, rho: int, top: int, nparts: int):
         """The bank arrays of residue rho: every point of Q = rho (mod N)
-        with Q < top, binned at position Q // N."""
-        ctx = self.ctx
-        aD, N = ctx.aD, ctx.level
+        with Q < top, binned at position Q // N, then compacted."""
+        aD, N = self.aD, self.N
         a, b, c = self.form
         store = tuple(tuple(np.zeros((top - rho) // N, dtype=np.float64)
                             for _ in range(nparts)) for _ in range(2))
@@ -341,9 +355,15 @@ class _ThetaBank:
             T = tb[row] + N * np.arange(p0, p1, dtype=np.int64)
             Q = (a * S) * S + (b * S) * T + (c * T) * T
             # rho = 0 meets the origin: Q = 0 at weight 0, a no-op in bin 0
-            U, V = _weights((2 * a) * S + b * T, T, ctx.D, ctx.ell)
+            U, V = _weights((2 * a) * S + b * T, T, self.D, self.ell)
             self._bin(store, Q // N, U, V)
-        return store
+        # positions < top / N < _QMAX_LIMIT fit in int32
+        nz = store[0][0] != 0
+        for arr in store[0][1:] + store[1]:
+            nz |= arr != 0
+        pos = np.flatnonzero(nz).astype(np.int32)
+        return (pos,) + tuple(tuple(arr[pos] for arr in parts)
+                              for parts in store)
 
     def _bin(self, store, idx, U, V):
         # np.add.at touches only the block's own bins: no scratch array spans
@@ -424,7 +444,14 @@ class HeightContext:
         self.shat = self.chi.s_D.residue(self.W)
         self._hden_inv = pow(self.delta * self.aD ** self.m_H, -1, self.pW)
 
+        # class ci reads the bank of its inverse pair, keyed by the pair's
+        # smaller class index, with SUM V times sign (see _ThetaBank)
+        self._bank_of = []
+        for ci in range(self.h):
+            inv = self.group.inv(ci)
+            self._bank_of.append((ci, 1) if ci <= inv else (inv, -1))
         self._banks = {}
+        self._sums = {}
         self._pair = {}
         self._spf = None
         self._plog = {}
@@ -554,19 +581,22 @@ class HeightContext:
     # -- theta bank ------------------------------------------------------------
 
     def _bank(self, class_index: int) -> _ThetaBank:
-        bk = self._banks.get(class_index)
+        """The bank of the inverse pair of class_index; the class reads it
+        with the sign self._bank_of[class_index][1]."""
+        key = self._bank_of[class_index][0]
+        bk = self._banks.get(key)
         if bk is None:
-            bk = _ThetaBank(self, class_index)
-            self._banks[class_index] = bk
+            bk = _ThetaBank(self, key)
+            self._banks[key] = bk
         return bk
 
     def prefetch(self, pairs):
         """Prepare lattice banks for an iterable of (class_index, m) cells."""
         byc = {}
         for ci, m in pairs:
-            byc.setdefault(ci, set()).add(m)
-        for ci in sorted(byc):
-            self._bank(ci).ensure(sorted(byc[ci]))
+            byc.setdefault(self._bank_of[ci][0], set()).add(m)
+        for key in sorted(byc):
+            self._bank(key).ensure(sorted(byc[key]))
 
     def _class_theta_const(self, class_index: int) -> int:
         v = self._class_const.get(class_index)
@@ -587,7 +617,7 @@ class HeightContext:
         """r_chi(class, m|D| - nN) mod p^W straight from the lattice bank."""
         bank = self._bank(class_index)
         bank.ensure([m])
-        su, sv = bank.term(m, n)
+        su, sv = bank.term(m, n, self._bank_of[class_index][1])
         if not (su or sv):      # a zero term needs no class theta constant
             return 0
         return (su + sv * self.shat) * self._class_theta_const(
@@ -600,13 +630,33 @@ class HeightContext:
 
         The terms r_chi sigma pol are summed exactly as su sigma pol and
         sv sigma pol, with r_chi = (su + sv shat) * the class theta
-        constant, split by p | n; the sums are reduced mod p^W once."""
+        constant, split by p | n (see _bc_sums).  Classes c and c^-1 share
+        those sums up to the sign of the sv sums, since they share a bank
+        and (having one genus signature) sigma."""
         if not (isinstance(m, int) and m >= 1):
             raise HeightError("index m must be a positive integer")
         key = (class_index, m, variant)
         hit = self._pair.get(key)
         if hit is not None:
             return hit
+        bank_key, sign = self._bank_of[class_index]
+        skey = (bank_key, m, variant)
+        sums = self._sums.get(skey)
+        if sums is None:
+            sums = self._sums[skey] = self._bc_sums(bank_key, m, variant)
+        u0, v0, up, vp = sums
+        p, pW, shat = self.p, self.pW, self.shat * sign
+        konst = self._class_theta_const(class_index) * self._hden_inv % pW
+        b = (u0 + v0 * shat) % pW
+        c = (b + up + vp * shat) % pW
+        cv = PadicNumber(p, 0, c * konst % pW, self.W)
+        bv = PadicNumber(p, 0, b * konst % pW, self.W)
+        self._pair[key] = (cv, bv)
+        return cv, bv
+
+    def _bc_sums(self, class_index: int, m: int, variant: int):
+        """The sums of su sigma pol and sv sigma pol over the n prime to p
+        and over p | n, as residues mod p^W, on the bank of class_index."""
         bank = self._bank(class_index)
         bank.ensure([m])
         N, p, pW = self.level, self.p, self.pW
@@ -647,14 +697,7 @@ class HeightContext:
                 else:
                     up += su * sg
                     vp += sv * sg
-        konst = self._class_theta_const(class_index) * self._hden_inv \
-            * scale % pW
-        b = (u0 + v0 * self.shat) % pW
-        c = (b + up + vp * self.shat) % pW
-        cv = PadicNumber(p, 0, c * konst % pW, self.W)
-        bv = PadicNumber(p, 0, b * konst % pW, self.W)
-        self._pair[key] = (cv, bv)
-        return cv, bv
+        return tuple(x * scale % pW for x in (u0, v0, up, vp))
 
 
 # ---------------------------------------------------------------------------

@@ -135,16 +135,34 @@ def test_bank_matches_theta_coefficients_two_classes(ctx_h2):
             assert ctx_h2.theta_residue(ci, 50, n) == want
 
 
-def _series(bank, m):
-    """bank.series(m) with its chunks concatenated; each chunk must be
+def test_theta_residue_mirror_classes():
+    # classes 1 and 2 of D = -31 are inverse: class 2 reads class 1's bank
+    ctx = HeightContext(-31, 7, 5, 2, 1, n_prec=30)
+    assert ctx._bank_of[2] == (1, -1)
+    for ci in (1, 2):
+        for m in (20, 21):
+            md = m * 31
+            for n in range(1, (md - 1) // 7 + 1):
+                want = ctx.chi.r_chi(ci, md - 7 * n).residue(ctx.W)
+                assert ctx.theta_residue(ci, m, n) == want, (ci, m, n)
+    assert list(ctx._banks) == [1]
+
+
+def _series(bank, m, sign=1):
+    """bank.series(m, sign) with its chunks concatenated; each chunk must be
     non-empty and the n strictly increasing."""
     ns, sus, svs = [], [], []
-    for chunk in bank.series(m):
+    for chunk in bank.series(m, sign):
         assert chunk[0]
         for acc, part in zip((ns, sus, svs), chunk):
             acc.extend(part)
     assert all(a < b for a, b in zip(ns, ns[1:]))
     return ns, sus, svs
+
+
+def _class_series(ctx, ci, m):
+    """Class ci's own series: its inverse pair's bank read with its sign."""
+    return _series(ctx._bank(ci), m, ctx._bank_of[ci][1])
 
 
 def _brute_series(form, D, ell, m, aD, level):
@@ -245,9 +263,9 @@ def test_cosets_vs_bruteforce(D, N):
 
 
 def _assert_bank_matches_brute(ctx, ci, ms):
-    bank = ctx._bank(ci)
+    # each class against a scan of its own reduced form
     for m in ms:
-        ns, sus, svs = _series(bank, m)
+        ns, sus, svs = _class_series(ctx, ci, m)
         want = _brute_series(ctx.group.forms[ci], ctx.D, ctx.ell, m, ctx.aD,
                              ctx.level)
         assert dict(zip(ns, zip(sus, svs))) == want, (ci, m)
@@ -262,11 +280,21 @@ def test_bank_many_residues_vs_bruteforce():
     _assert_bank_matches_brute(ctx, 0, ms)
 
 
-@pytest.mark.parametrize("args", [(-23, 3, 29, 2, 1), (-31, 7, 5, 2, 1)])
+@pytest.mark.parametrize("args", [
+    (-23, 3, 29, 2, 1), (-31, 7, 5, 2, 1),
+    # h = 4: classes 1 and 2 are inverse, 0 and 3 are their own inverses
+    (-55, 13, 7, 2, 1),
+    # the quartic weights of m = 3000 pass the single-word range
+    (-31, 7, 5, 3, 2)])
 def test_bank_every_class_vs_bruteforce(args):
     ctx = HeightContext(*args)
-    ms = [1, 2, 3, 5, 7, 21, 60]
+    split = ctx.ell == 4
+    ms = [1, 2, 3, 5, 7, 21, 60] + ([3000] if split else [])
     ctx.prefetch([(ci, m) for ci in range(ctx.h) for m in ms])
+    # in each field class 2 is the inverse of class 1 and reads its bank
+    assert ctx._bank_of[2] == (1, -1)
+    assert sorted(ctx._banks) == [ci for ci in range(ctx.h) if ci != 2]
+    assert ctx._bank(1).split == split
     for ci in range(ctx.h):
         _assert_bank_matches_brute(ctx, ci, ms)
 
@@ -301,17 +329,52 @@ def test_bank_split_switch_rescans_held_residues():
     ctx.prefetch([(0, 40_000)])
     bank = ctx._bank(0)
     assert bank.split
-    assert all(len(su) == len(sv) == 2 for su, sv in bank.arrays.values())
+    assert all(len(su) == len(sv) == 2 for _, su, sv in bank.arrays.values())
     # the weights of the large index pass 2^26, so its high words are used
-    assert bank.arrays[40_000 * 7 % 23][0][1].any()
+    assert bank.arrays[40_000 * 7 % 23][1][1].any()
     _assert_bank_matches_brute(ctx, 0, [50, 51])
+
+
+def test_bank_keeps_norms_with_only_a_v_sum(monkeypatch):
+    # no small case has SUM U = 0 beside SUM V != 0, so the weights become
+    # (0, V): every norm the bank keeps then has only a v sum
+    real = heights._weights
+    monkeypatch.setattr(heights, "_weights",
+                        lambda u, v, D, ell: (0 * u, real(u, v, D, ell)[1]))
+    ctx = HeightContext(-31, 7, 5, 2, 1)
+    ctx.prefetch([(2, 60)])
+    ns, sus, svs = _class_series(ctx, 2, 60)
+    want = _brute_series(ctx.group.forms[2], ctx.D, ctx.ell, 60, ctx.aD,
+                         ctx.level)
+    assert not any(sus)
+    assert dict(zip(ns, svs)) == {n: sv for n, (_, sv) in want.items() if sv}
+    assert len(ns) > 10
+
+
+def test_bank_split_switch_seen_through_mirror_class():
+    # class 2 of D = -31 reads class 1's bank with SUM V negated; its own
+    # later index turns on the split of that shared bank
+    ctx = HeightContext(-31, 7, 5, 3, 2)
+    assert ctx._bank_of[1:] == [(1, 1), (1, -1)]
+    ctx.prefetch([(2, 50), (2, 51)])
+    assert not ctx._bank(2).split
+    ctx.prefetch([(2, 3000)])
+    assert list(ctx._banks) == [1] and ctx._bank(1).split
+    for ci in (1, 2):
+        _assert_bank_matches_brute(ctx, ci, [50, 51, 3000])
+
+
+def _bank_bytes(ctx):
+    return sum(a.nbytes for bk in ctx._banks.values()
+               for pos, su, sv in bk.arrays.values() for a in (pos, *su, *sv))
 
 
 def test_scan_scratch_is_bounded_by_the_block():
     # the operator cells of crosscheck (-7, 23, 11, 3, 2) at m = 33 reach
-    # m p^4 = 483153: their banks take 4.9 MiB, and a scan that binned whole
-    # residues at once took 33 MiB of scratch on top of them.  Blocks of
-    # 2^16 points take fewer than 24 eight-byte words per point: 12 MiB
+    # m p^4 = 483153: a dense bank of their norms takes 4.9 MiB, and a scan
+    # that binned whole residues at once took 33 MiB of scratch on top of
+    # it.  Blocks of 2^16 points take fewer than 24 eight-byte words per
+    # point: 12 MiB
     ctx = HeightContext(-7, 23, 11, 3, 2)
     tracemalloc.start()
     try:
@@ -319,10 +382,22 @@ def test_scan_scratch_is_bounded_by_the_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bank = sum(a.nbytes for bk in ctx._banks.values()
-               for sums in bk.arrays.values() for parts in sums for a in parts)
-    assert bank > 4 << 20
-    assert peak - bank < 12 << 20
+    # the dense-equivalent bytes: two sums of 8-byte parts per position
+    dense = sum(16 * (2 if bk.split else 1) * ((top - rho) // ctx.level)
+                for bk in ctx._banks.values() for rho, top in bk.tops.items())
+    assert dense > 4 << 20
+    assert peak - _bank_bytes(ctx) < 12 << 20
+
+
+def test_bc_report_banks_one_per_inverse_pair():
+    # the prefetch of bc-check (-31, 7, 5, 2, 1) at mmax 30: classes 1 and 2
+    # share one bank, and each bank keeps only its nonzero norms (dense
+    # arrays of every norm, one set per class, take 23.9 MiB)
+    ctx = HeightContext(-31, 7, 5, 2, 1)
+    ctx.prefetch([c for ci in range(ctx.h) for m in range(1, 31)
+                  for c in heights._op_pairs(ctx, ci, m)])
+    assert sorted(ctx._banks) == [0, 1]
+    assert _bank_bytes(ctx) < 8 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +496,7 @@ def _termwise_cb(ctx, ci, m, variant):
     gam = [int(c * ctx.delta) for c in ctx.Hpoly.coeffs]
     off = ctx.delta * ctx.aD ** ctx.m_H if variant else 0
     tot_c = tot_b = 0
-    for n, su, sv in zip(*_series(ctx._bank(ci), m)):
+    for n, su, sv in zip(*_class_series(ctx, ci, m)):
         t = (su + sv * ctx.shat) % pW
         sg = ctx.sigma_res(ci, n)
         if not (t and sg):
