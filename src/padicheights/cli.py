@@ -19,8 +19,7 @@ from pathlib import Path
 
 from .heckechar import CharBuildError, build_char, theta_coeffs
 from .heights import (HeightContext, HeightError, bc_report,
-                      crosscheck_report, fourier_am, local_height_sum,
-                      local_height_sum_direct)
+                      crosscheck_report, fourier_am, local_height_sum)
 from .padic import PadicError, sigma_A
 from .polykit import PolyError, RationalPoly, g_poly, h_poly, jacobi_poly
 from .quadfield import (QuadFieldError, admissible_params, class_group,
@@ -269,13 +268,7 @@ def _cmd_heightsum(args) -> int:
     _positive(args.m, "m")
     ctx = _context(args)
     _check_class(args.disc, args.class_index)
-    # both paths give the same value but print some cells differently (the
-    # oracle shows an empty sum as an exact zero and keeps more digits), so
-    # small reports stay on the oracle; above m|D| = 100000 its term-by-term
-    # cost gives way to the bank
-    direct = args.m * ctx.aD <= 100_000
-    val = (local_height_sum_direct if direct else local_height_sum)(
-        ctx, args.class_index, args.m)
+    val = local_height_sum(ctx, args.class_index, args.m)
     doc = {"context": ctx.to_json(),
            "class": args.class_index,
            "m": args.m,

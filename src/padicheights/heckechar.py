@@ -25,7 +25,8 @@ from math import isqrt
 
 import mpmath
 
-from .padic import PadicError, PadicNumber, nth_root_zp, padic_sqrt
+from .padic import (PadicError, PadicNumber, lift_pair_root, padic_sqrt,
+                    pair_pow)
 from .quadfield import (KElem, class_group, class_index_of_ideal, ideal_conj,
                         ideal_mult, ideal_norm, ideal_of_form, ideal_pow,
                         ideals_of_norm, isprime, kronecker, normalize_ideal,
@@ -120,7 +121,7 @@ class QuadExtValue:
     def __truediv__(self, o):
         if isinstance(o, QuadExtValue):
             return self * o.inv()
-        return self * Fraction(1, 1) / o  # pragma: no cover - unused path
+        return QuadExtValue(self.p, self.c, self.a / o, self.b / o)
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
@@ -156,57 +157,16 @@ class QuadExtValue:
         return f"({self.a!r}) + ({self.b!r})*s"
 
 
-# residue-level extension arithmetic on int pairs, used while lifting roots
-
-def _ext_mul(x, y, c, mod):
-    return ((x[0] * y[0] + c * x[1] * y[1]) % mod,
-            (x[0] * y[1] + x[1] * y[0]) % mod)
-
-
-def _ext_pow(x, e, c, mod):
-    r = (1, 0)
-    while e:
-        if e & 1:
-            r = _ext_mul(r, x, c, mod)
-        x = _ext_mul(x, x, c, mod)
-        e >>= 1
-    return r
-
-
-def _ext_inv(x, c, mod):
-    n = (x[0] * x[0] - c * x[1] * x[1]) % mod
-    ninv = pow(n, -1, mod)
-    return (x[0] * ninv % mod, -x[1] * ninv % mod)
-
-
-def _ext_nth_root_lift(p, c, x0, a, d, N):
-    """Newton-lift the simple residue root x0 of X^d - a to mod p^N."""
-    mod = p
-    x = x0
-    target = p ** N
-    while mod < target:
-        mod = min(mod * mod, target)
-        fx = _ext_pow(x, d, c, mod)
-        fx = ((fx[0] - a) % mod, fx[1])
-        df = _ext_pow(x, d - 1, c, mod)
-        df = (df[0] * d % mod, df[1] * d % mod)
-        step = _ext_mul(fx, _ext_inv(df, c, mod), c, mod)
-        x = ((x[0] - step[0]) % mod, (x[1] - step[1]) % mod)
-    if _ext_pow(x, d, c, target) != (a % target, 0):
-        raise PadicError("extension root lift failed (bug)")
-    return x
-
-
-def _all_residue_roots(p, c, a, d):
-    """Roots of X^d = a in F_{p^2}: ground ones first, each branch sorted."""
-    ground = [(r, 0) for r in range(1, p) if pow(r, d, p) == a % p]
-    ext = []
-    for b in range(1, p):
-        for r in range(p):
-            if _ext_pow((r, b), d, c, p) == (a % p, 0):
-                ext.append((r, b))
-    ext.sort()
-    return ground + ext
+def _residue_root(p, c, a, d, twist):
+    """The root of X^d = a in F_{p^2}, as a residue pair, that the twist
+    picks from the ground roots then the others, each branch sorted; None
+    when there is none.  The roots off F_p are listed only when a twist or
+    a missing ground root needs them."""
+    roots = [(r, 0) for r in range(1, p) if pow(r, d, p) == a % p]
+    if twist or not roots:
+        roots += sorted((r, b) for b in range(1, p) for r in range(p)
+                        if pair_pow((r, b), d, c, p) == (a % p, 0))
+    return roots[twist % len(roots)] if roots else None
 
 
 # ---------------------------------------------------------------------------
@@ -424,20 +384,14 @@ def build_char(D, ell, mode, p=None, prec=None, twist=None):
             a_emb = (PadicNumber.from_rational(p, alpha.x, prec)
                      + PadicNumber.from_rational(p, alpha.y, prec) * s_D) ** ell
             a_int = a_emb.residue(prec)
-            pair = None
-            if t_i == 0:
-                r0 = nth_root_zp(p, a_int, di, prec)
-                pair = None if r0 is None else (r0, 0)
-            if pair is None:
-                roots = _all_residue_roots(p, nonres, a_int, di)
-                if not roots:
-                    raise CharBuildError(
-                        f"no root: X^{di} = {a_int % p} (mod {p}) has no "
-                        f"solution in F_(p^2); chi on the class-group "
-                        f"generator of index {gi} cannot take values in Z_{p} "
-                        f"or its unramified quadratic extension")
-                pair = _ext_nth_root_lift(p, nonres, roots[t_i % len(roots)],
-                                          a_int, di, prec)
+            x0 = _residue_root(p, nonres, a_int, di, t_i)
+            if x0 is None:
+                raise CharBuildError(
+                    f"no root: X^{di} = {a_int % p} (mod {p}) has no "
+                    f"solution in F_(p^2); chi on the class-group "
+                    f"generator of index {gi} cannot take values in Z_{p} "
+                    f"or its unramified quadratic extension")
+            pair = lift_pair_root(p, nonres, x0, a_int, di, prec)
             if pair[1] != 0:
                 ground = False
             entry["root"] = [str(pair[0]), str(pair[1])]

@@ -101,25 +101,27 @@ def _weight_bound(umax: int, vmax: int, D: int, ell: int):
 
 
 def _weights(u, v, D: int, ell: int):
-    """(U, V) arrays with (u + v sqrt(D))^ell = U + V sqrt(D), int64 exact."""
-    if ell == 2:
-        return u * u + D * (v * v), 2 * (u * v)
-    if ell == 4:
-        u2 = u * u
-        v2 = v * v
-        uv = u * v
-        return (u2 * u2 + (6 * D) * (u2 * v2) + (D * D) * (v2 * v2),
-                (4 * uv) * (u2 + D * v2))
-    # generic even ell; bounds were asserted by the caller
-    U = np.zeros_like(u)
-    V = np.zeros_like(u)
-    for j in range(ell + 1):
-        t = comb(ell, j) * (u ** (ell - j)) * (v ** j) * (D ** (j // 2))
-        if j % 2:
-            V = V + t
-        else:
-            U = U + t
-    return U, V
+    """(U, V) arrays with (u + v sqrt(D))^ell = U + V sqrt(D), int64 exact.
+
+    One binary power of the pair (u, v) in Z[sqrt(D)], from its square
+    since ell is even.  The caller's check _weight_bound < 2^62 bounds every
+    intermediate: with (bu_j, bv_j) the bound at exponent j, each part of a
+    product of x^i and x^j (i + j <= ell) adds terms of size at most
+    bu_i bu_j, |D| bv_i bv_j or bu_i bv_j, whose sums are bu_(i+j) and
+    bv_(i+j), and these grow with the exponent."""
+
+    def square(x):
+        return x[0] * x[0] + D * (x[1] * x[1]), 2 * (x[0] * x[1])
+
+    x, r, e = square((u, v)), None, ell // 2
+    while e:
+        if e & 1:
+            r = x if r is None else (r[0] * x[0] + D * (r[1] * x[1]),
+                                     r[0] * x[1] + r[1] * x[0])
+        e >>= 1
+        if e:
+            x = square(x)
+    return r
 
 
 class _Cosets:
@@ -641,22 +643,27 @@ class HeightContext:
             return hit
         bank_key, sign = self._bank_of[class_index]
         skey = (bank_key, m, variant)
-        sums = self._sums.get(skey)
-        if sums is None:
-            sums = self._sums[skey] = self._bc_sums(bank_key, m, variant)
-        u0, v0, up, vp = sums
+        if skey not in self._sums:
+            self._sums[skey] = self._bc_sums(bank_key, m, variant)
+        sums = self._sums[skey]
         p, pW, shat = self.p, self.pW, self.shat * sign
         konst = self._class_theta_const(class_index) * self._hden_inv % pW
-        b = (u0 + v0 * shat) % pW
-        c = (b + up + vp * shat) % pW
-        cv = PadicNumber(p, 0, c * konst % pW, self.W)
-        bv = PadicNumber(p, 0, b * konst % pW, self.W)
+        if sums is None:
+            # no lattice term: exact zeros, as the term-by-term oracles give
+            cv = bv = PadicNumber.zero(p)
+        else:
+            u0, v0, up, vp = sums
+            b = (u0 + v0 * shat) % pW
+            c = (b + up + vp * shat) % pW
+            cv = PadicNumber(p, 0, c * konst % pW, self.W)
+            bv = PadicNumber(p, 0, b * konst % pW, self.W)
         self._pair[key] = (cv, bv)
         return cv, bv
 
     def _bc_sums(self, class_index: int, m: int, variant: int):
         """The sums of su sigma pol and sv sigma pol over the n prime to p
-        and over p | n, as residues mod p^W, on the bank of class_index."""
+        and over p | n, as residues mod p^W, on the bank of class_index;
+        None when index m has no nonzero lattice term."""
         bank = self._bank(class_index)
         bank.ensure([m])
         N, p, pW = self.level, self.p, self.pW
@@ -676,7 +683,9 @@ class HeightContext:
         cache = self._sigma_dict(class_index)
         sres = self.sigma_res
         u0 = v0 = up = vp = 0       # sums over n prime to p, and over p | n
+        empty = True
         for ns, sus, svs in bank.series(m):
+            empty = False
             # one sieve for the whole index, built only when a term exists
             self._ensure_spf((MD - 1) // N)
             for n, su, sv in zip(ns, sus, svs):
@@ -697,6 +706,8 @@ class HeightContext:
                 else:
                     up += su * sg
                     vp += sv * sg
+        if empty:
+            return None
         return tuple(x * scale % pW for x in (u0, v0, up, vp))
 
 

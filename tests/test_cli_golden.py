@@ -3,7 +3,7 @@
 Each entry of cli_golden.json maps a command line to the sha256 of its exit
 code, standard output and standard error.  The lines cover what the
 benchmark digests in perfbench/digests.json do not: theta in all three
-modes, sigma, fourier, heightsum on both of its paths, bc-check with CSV
+modes, sigma, fourier, heightsum at small and large m, bc-check with CSV
 output, cross-checks on fields with class number 2 and 3 (and one where p
 divides binom(2r-2, r-k-1)), and the exit-2 rejections.
 
@@ -48,8 +48,8 @@ LINES = [
     "fourier --disc -7 --level 23 --p 11 --r 2 --k 1 --m 11 --prec 30",
     "fourier --disc -31 --level 7 --p 5 --r 2 --k 1 --m 15 --class 2 "
     "--prec 20",
-    # heightsum: the oracle below m|D| = 100000 (m = 5 is an empty sum), the
-    # bank path above it
+    # heightsum on its one (bank) path: m = 5 is an empty sum, an exact
+    # zero, and m = 14291 a large index
     "heightsum --disc -7 --level 23 --p 11 --r 2 --k 1 --m 5 --prec 30",
     "heightsum --disc -7 --level 23 --p 11 --r 2 --k 1 --m 13 --prec 30",
     "heightsum --disc -7 --level 23 --p 11 --r 2 --k 1 --m 14291 --prec 30",

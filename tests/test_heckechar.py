@@ -1,5 +1,6 @@
 """Hecke character tables, their theta coefficients, and the lattice oracle."""
 
+import hashlib
 from fractions import Fraction
 from functools import lru_cache
 
@@ -79,6 +80,35 @@ def test_build_is_deterministic():
     assert c1.audit == c2.audit
 
 
+# (ground, audit, str(s_D)) of every padic build_char of the sweep below, or
+# the message it was refused with, hashed in order; recorded before the root
+# lift of build_char moved into padic.lift_pair_root
+_CHAR_SWEEP_SHA256 = (
+    "c5dbea0cfeb463e6ebbcecdb133a1e0f89425a2793c2472f7d1a9d55fd964d6e")
+
+
+def test_build_char_sweep_is_pinned():
+    # 2730 cases, 146 of them extension-valued
+    h = hashlib.sha256()
+    cases = ext = 0
+    for D in (-7, -15, -23, -31, -39, -47, -51, -55, -59, -71, -87, -95,
+              -143, -195):
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
+            for ell in (2, 4, 6):
+                for twist in (None, (1,), (2,), (3,), (1, 1)):
+                    try:
+                        ch = build_char(D, ell, "padic", p=p, prec=40,
+                                        twist=twist)
+                        out = (ch.ground, ch.audit, str(ch.s_D))
+                        ext += not ch.ground
+                    except ValueError as e:
+                        out = (type(e).__name__, str(e))
+                    cases += 1
+                    h.update(repr(((D, p, ell, twist), out)).encode())
+    assert (cases, ext) == (2730, 146)
+    assert h.hexdigest() == _CHAR_SWEEP_SHA256
+
+
 def test_complex_root_verifies_cube():
     ch = char(-23, 2, "complex")
     (gen_ideal, root, _), = ch._gen_roots
@@ -116,6 +146,21 @@ def test_quadext_arithmetic():
         x.ground()
     d = x.to_json()
     assert d["nonresidue"] == c and "a" in d and "b" in d
+
+
+def test_quadext_division_by_ground():
+    # a ground divisor (an int or a PadicNumber) divides each component
+    p, prec = 5, 10
+    c = smallest_nonresidue(p)
+    x = QuadExtValue(p, c, PadicNumber(p, 0, 3, prec),
+                     PadicNumber(p, 1, 4, prec))
+    for o in (2, PadicNumber(p, 0, 2, prec), PadicNumber(p, 1, 7, prec)):
+        q = x / o
+        assert isinstance(q, QuadExtValue)
+        assert q * o == x
+        assert q == x * QuadExtValue.from_ground(one(p, prec) / o, c)
+    assert (x / 2).b.valuation() == 1
+    assert (x / PadicNumber(p, 1, 7, prec)).a.valuation() == -1
 
 
 def test_smallest_nonresidue():

@@ -9,8 +9,9 @@ package's purpose; the mutation tests check that they can actually fail.
 import json
 import random
 import tracemalloc
-from math import isqrt
+from math import comb, isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -209,6 +210,42 @@ def test_strided_direct_bank_vs_bruteforce():
     ns, sus, svs = _series(bank, m)
     want = _brute_series(ctx.group.forms[0], -7, 2, m, 7, 23)
     assert dict(zip(ns, zip(sus, svs))) == want
+
+
+def _expand(u, v, D, ell):
+    """(U, V) with (u + v sqrt(D))^ell = U + V sqrt(D), in python ints."""
+    terms = [comb(ell, j) * u ** (ell - j) * v ** j * D ** (j // 2)
+             for j in range(ell + 1)]
+    return sum(terms[0::2]), sum(terms[1::2])
+
+
+@pytest.mark.parametrize("D", (-7, -23, -55, -195))
+def test_weights_exact_up_to_the_bound(D):
+    # _weights against the binomial expansion, on points whose weight bound
+    # is just under the 2^62 that _ThetaBank._scan admits, corners included
+    rng = random.Random(D)
+    for ell in (2, 4, 6, 8, 10):
+        for ratio in (1, 16):
+
+            def bound(umax):
+                return max(heights._weight_bound(
+                    umax, max(1, umax // ratio), D, ell))
+
+            lo, hi = 1, 1 << 31         # bound(lo) < 2^62 <= bound(hi)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if bound(mid) < 1 << 62 else (lo, mid)
+            umax, vmax = lo, max(1, lo // ratio)
+            assert bound(umax) < 1 << 62 <= bound(umax + 1)
+            pts = [(su * umax, sv * vmax) for su in (1, -1) for sv in (1, -1)]
+            pts += [(rng.randint(-umax, umax), rng.randint(-vmax, vmax))
+                    for _ in range(200)]
+            u = np.array([a for a, _ in pts], dtype=np.int64)
+            v = np.array([b for _, b in pts], dtype=np.int64)
+            U, V = heights._weights(u, v, D, ell)
+            assert U.dtype == V.dtype == np.int64
+            assert list(zip(U.tolist(), V.tolist())) == [
+                _expand(a, b, D, ell) for a, b in pts], (ell, ratio)
 
 
 def test_scan_rejects_norms_past_float64_bound(ctx21):
@@ -558,11 +595,14 @@ def test_series_chunks_cut_anywhere(monkeypatch, args, m, split):
 
 
 def test_c_seq_empty_sum_is_zero(ctx21):
-    # m|D| < N leaves no summation index at all
+    # m|D| < N leaves no summation index at all: an exact zero, as the
+    # term-by-term oracles give
     for m in (1, 2, 3):
         v = c_seq(ctx21, 0, m)
         assert v.is_zero()
         assert v.valuation() >= ctx21.n_prec
+        assert v.is_exact_zero()
+        assert b_seq(ctx21, 0, m).is_exact_zero()
 
 
 def test_b_equals_c_when_range_below_p(ctx_big):
@@ -776,6 +816,38 @@ def test_local_height_hypothesis_errors(ctx21):
             hs(ctx21, 0, 23)
         with pytest.raises(HeightError, match="r_A"):
             hs(ctx21, 0, 2)
+
+
+@pytest.mark.parametrize("args, counts", [
+    ((-7, 23, 11, 2, 1), (7, 4, 0)),
+    ((-7, 23, 11, 3, 1), (7, 4, 0)),
+    ((-31, 7, 5, 2, 1), (24, 0, 1)),
+    ((-31, 7, 5, 3, 2), (24, 0, 1)),
+    ((-51, 11, 5, 2, 1), (21, 0, 2)),
+    ((-55, 13, 7, 2, 1), (42, 2, 0)),
+])
+def test_local_height_sum_prints_the_oracle_at_working_precision(args, counts):
+    # the bank path prints the oracle's bytes, the oracle cut to absolute
+    # precision W unless it is an exact zero, on every admissible cell of
+    # m <= 16; counts = (cells, exact zeros, cells where the oracle claims
+    # digits past W)
+    ctx = HeightContext(*args, n_prec=30)
+    cells = zeros = cut = 0
+    for ci in range(ctx.h):
+        for m in range(1, 17):
+            try:
+                want = local_height_sum_direct(ctx, ci, m)
+            except HeightError:
+                continue
+            cells += 1
+            if want.is_exact_zero():
+                zeros += 1
+            elif want.abs_prec() > ctx.W:
+                cut += 1
+                want = want.truncate_abs(ctx.W)
+            got = local_height_sum(ctx, ci, m)
+            assert got.to_json() == want.to_json(), (ci, m)
+    assert (cells, zeros, cut) == counts
 
 
 def test_local_height_two_paths(ctx21):

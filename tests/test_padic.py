@@ -1,5 +1,6 @@
 """p-adic arithmetic tests: precision semantics, log/Teichmuller, divisor sums."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -11,8 +12,10 @@ from padicheights.padic import (
     PadicNumber,
     epsilon_A,
     iwasawa_log,
+    lift_pair_root,
     nth_root_zp,
     padic_sqrt,
+    pair_pow,
     sigma_A,
     teichmuller,
 )
@@ -252,6 +255,40 @@ def test_nth_root_zp():
     assert nth_root_zp(13, 9, 3, 6) is None
     with pytest.raises(PadicError):
         nth_root_zp(13, 13, 2, 6)
+
+
+def test_nth_root_zp_sweep_is_pinned():
+    # every root, None or refusal message over small p, d and a at three
+    # precisions, hashed in order; recorded before nth_root_zp lifted its
+    # root with padic.lift_pair_root
+    h = hashlib.sha256()
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
+        for d in (2, 3, 4, 6):
+            for a in range(60):
+                for N in (1, 2, 9):
+                    try:
+                        out = nth_root_zp(p, a, d, N)
+                    except ArithmeticError as e:
+                        out = (type(e).__name__, str(e))
+                    h.update(repr(((p, d, a, N), out)).encode())
+    assert h.hexdigest() == (
+        "9e165898ca02b6a1139c7bc395d42cac3f4a1d43f6d0dc00b6e6b51a42b76783")
+
+
+def test_lift_pair_root_in_the_extension():
+    # 3 is no square mod 7: with s^2 = 3 its square roots are +-s, off Z_7
+    p, c, N = 7, 3, 12
+    mod = p ** N
+    assert lift_pair_root(p, c, (0, 1), 3, 2, N) == (0, 1)
+    # a square root off Z_7 and a cube root in it (2^3 = 1 mod 7), each
+    # congruent to its residue root
+    for x0, a, d in (((0, 1), 3 + 7 ** 5, 2), ((2, 0), 1 + 7 ** 3, 3)):
+        x = lift_pair_root(p, c, x0, a, d, N)
+        assert (x[0] - x0[0]) % p == 0 and (x[1] - x0[1]) % p == 0
+        assert pair_pow(x, d, c, mod) == (a % mod, 0)
+    # 3 is no cube mod 7: lifting from 1 raises instead of returning
+    with pytest.raises(PadicError, match="root lift failed"):
+        lift_pair_root(p, c, (1, 0), 3, 3, N)
 
 
 def test_padic_sqrt_random():
