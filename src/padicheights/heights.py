@@ -17,9 +17,10 @@ Everything runs in plain integer arithmetic mod p^W with W = n_prec + 10
 guard digits; theta coefficients come from a vectorized lattice enumeration
 whose per-norm sums are exact in any order of addition: every weight is an
 integer, and every partial sum of the float64 accumulators is bounded by
-_COUNT_BOUND times the largest weight, below 2^53 (weights split into 26-bit
-halves when single words could pass it).  The scan bins one block of
-_BLOCK_CELLS points at a time into a dense array of the residue it scans, and
+_COUNT_BOUND times the largest weight, below 2^53 (weights are split into
+26-bit parts when single words could pass it, and computed in python ints
+when they could pass 2^62).  The scan bins one block of _BLOCK_CELLS points
+at a time into a dense array of the residue it scans, and
 the series are read out in chunks of as many n, so the scratch memory of a
 scan is a few dozen 8-byte words per block cell beside one residue's dense
 array, and that of a sum is bounded by the block, whatever the bank's size.
@@ -101,12 +102,13 @@ def _weight_bound(umax: int, vmax: int, D: int, ell: int):
 
 
 def _weights(u, v, D: int, ell: int):
-    """(U, V) arrays with (u + v sqrt(D))^ell = U + V sqrt(D), int64 exact.
+    """(U, V) arrays with (u + v sqrt(D))^ell = U + V sqrt(D), exact.
 
     One binary power of the pair (u, v) in Z[sqrt(D)], from its square
-    since ell is even.  The caller's check _weight_bound < 2^62 bounds every
-    intermediate: with (bu_j, bv_j) the bound at exponent j, each part of a
-    product of x^i and x^j (i + j <= ell) adds terms of size at most
+    since ell is even.  It runs on int64 arrays when _weight_bound < 2^62,
+    and on object arrays of python ints otherwise.  That check bounds every
+    int64 intermediate: with (bu_j, bv_j) the bound at exponent j, each part
+    of a product of x^i and x^j (i + j <= ell) adds terms of size at most
     bu_i bu_j, |D| bv_i bv_j or bu_i bv_j, whose sums are bu_(i+j) and
     bv_(i+j), and these grow with the exponent."""
 
@@ -203,7 +205,7 @@ class _ThetaBank:
     residue's own ellipse Q < top follows from 4cQ = (2ct + bs)^2 + |D|s^2.
     A residue is binned into one dense array per part and compacted when
     its scan ends, so only the residue being scanned is ever dense.  It is
-    rescanned only when its top grows (or the 26-bit split switches on), so
+    rescanned only when its top grows (or its number of parts changes), so
     a bank prefetched one index at a time keeps the residues it holds."""
 
     def __init__(self, ctx, class_index: int):
@@ -213,7 +215,7 @@ class _ThetaBank:
         self.form = ctx.group.forms[class_index]
         self.tops = {}             # rho -> largest m|D| requested in rho
         self.arrays = {}           # rho -> (positions, su_parts, sv_parts)
-        self.split = False
+        self.nparts = 1            # 26-bit parts per sum (see _scan)
         self._cosets = _Cosets(self.form, ctx.D, ctx.level)
 
     # -- public -------------------------------------------------------------
@@ -269,14 +271,14 @@ class _ThetaBank:
 
     def _exact(self, parts, sign: int):
         """The python ints of one sum's float64 parts, times sign."""
-        # the float64 parts are exact integers by construction; a 26-bit hi
-        # part shifted back up can pass 2^63, so it is added in python ints
+        # the float64 parts are exact integers by construction; a part
+        # shifted back up can pass 2^63, so they are added in python ints
         ints = [(-a if sign < 0 else a).astype(np.int64).tolist()
                 for a in parts]
-        if self.split:
-            lo, hi = ints
-            return [x + (y << 26) for x, y in zip(lo, hi)]
-        return ints[0]
+        out = ints.pop()
+        while ints:
+            out = [x + (y << 26) for x, y in zip(ints.pop(), out)]
+        return out
 
     # -- internals ------------------------------------------------------------
 
@@ -290,20 +292,22 @@ class _ThetaBank:
         smax = isqrt(4 * c * qmax // aD) + 1
         tmax = isqrt(4 * a * qmax // aD) + 1
         umax = 2 * a * smax + abs(b) * tmax
-        bu, bv = _weight_bound(umax, tmax, self.D, ell)
-        if max(bu, bv) >= 1 << 62:
-            raise HeightError("lattice weights exceed the 64-bit exact range")
-        split = max(bu, bv) * _COUNT_BOUND >= 1 << 53
-        # a residue keeps its arrays unless its top grew or the split
-        # switched on
-        held = self.arrays if split == self.split else {}
-        nparts = 2 if split else 1
+        bound = max(_weight_bound(umax, tmax, self.D, ell))
+        # weights past int64 are python ints; each sum is cut into 26-bit
+        # parts, the top one signed, until every part's sums stay below 2^53
+        wide = bound >= 1 << 62
+        nparts = 1
+        while ((bound >> 26 * (nparts - 1)) + 1) * _COUNT_BOUND >= 1 << 53:
+            nparts += 1
+        # a residue keeps its arrays unless its top grew or its number of
+        # parts changed
+        held = self.arrays if nparts == self.nparts else {}
         self.arrays = {rho: held[rho] if rho in held and top == self.tops[rho]
-                       else self._scan_residue(rho, top, nparts)
+                       else self._scan_residue(rho, top, nparts, wide)
                        for rho, top in sorted(tops.items())}
-        self.tops, self.split = tops, split
+        self.tops, self.nparts = tops, nparts
 
-    def _scan_residue(self, rho: int, top: int, nparts: int):
+    def _scan_residue(self, rho: int, top: int, nparts: int, wide: bool):
         """The bank arrays of residue rho: every point of Q = rho (mod N)
         with Q < top, binned at position Q // N, then compacted."""
         aD, N = self.aD, self.N
@@ -357,7 +361,10 @@ class _ThetaBank:
             T = tb[row] + N * np.arange(p0, p1, dtype=np.int64)
             Q = (a * S) * S + (b * S) * T + (c * T) * T
             # rho = 0 meets the origin: Q = 0 at weight 0, a no-op in bin 0
-            U, V = _weights((2 * a) * S + b * T, T, self.D, self.ell)
+            u = (2 * a) * S + b * T
+            if wide:
+                u, T = u.astype(object), T.astype(object)
+            U, V = _weights(u, T, self.D, self.ell)
             self._bin(store, Q // N, U, V)
         # positions < top / N < _QMAX_LIMIT fit in int32
         nz = store[0][0] != 0
@@ -371,14 +378,11 @@ class _ThetaBank:
         # np.add.at touches only the block's own bins: no scratch array spans
         # the index range, which for a block that crosses every row is most
         # of the residue
-        su, sv = store
-        if len(su) == 2:        # the 26-bit split
-            parts = ((U & _MASK26, U >> 26), (V & _MASK26, V >> 26))
-        else:
-            parts = ((U,), (V,))
-        for arrs, ps in ((su, parts[0]), (sv, parts[1])):
-            for arr, w in zip(arrs, ps):
-                np.add.at(arr, idx, w.astype(np.float64))
+        for arrs, w in zip(store, (U, V)):
+            for arr in arrs[:-1]:       # low 26-bit parts, then the rest
+                np.add.at(arr, idx, (w & _MASK26).astype(np.float64))
+                w = w >> 26
+            np.add.at(arrs[-1], idx, w.astype(np.float64))
 
 
 class HeightContext:
@@ -645,25 +649,27 @@ class HeightContext:
         skey = (bank_key, m, variant)
         if skey not in self._sums:
             self._sums[skey] = self._bc_sums(bank_key, m, variant)
-        sums = self._sums[skey]
+        prime, part = self._sums[skey]
         p, pW, shat = self.p, self.pW, self.shat * sign
         konst = self._class_theta_const(class_index) * self._hden_inv % pW
-        if sums is None:
-            # no lattice term: exact zeros, as the term-by-term oracles give
-            cv = bv = PadicNumber.zero(p)
-        else:
-            u0, v0, up, vp = sums
-            b = (u0 + v0 * shat) % pW
-            c = (b + up + vp * shat) % pW
-            cv = PadicNumber(p, 0, c * konst % pW, self.W)
-            bv = PadicNumber(p, 0, b * konst % pW, self.W)
+
+        def value(sums):
+            # a sum with no term is an exact zero, as the term-by-term
+            # oracles give
+            sums = [uv for uv in sums if uv is not None]
+            if not sums:
+                return PadicNumber.zero(p)
+            x = sum(u + v * shat for u, v in sums) * konst % pW
+            return PadicNumber(p, 0, x, self.W)
+
+        cv, bv = value((prime, part)), value((prime,))
         self._pair[key] = (cv, bv)
         return cv, bv
 
     def _bc_sums(self, class_index: int, m: int, variant: int):
-        """The sums of su sigma pol and sv sigma pol over the n prime to p
-        and over p | n, as residues mod p^W, on the bank of class_index;
-        None when index m has no nonzero lattice term."""
+        """The pairs (sum su sigma pol, sum sv sigma pol) over the n prime to
+        p and over p | n, as residues mod p^W, on the bank of class_index;
+        a pair is None when it has no term."""
         bank = self._bank(class_index)
         bank.ensure([m])
         N, p, pW = self.level, self.p, self.pW
@@ -683,9 +689,8 @@ class HeightContext:
         cache = self._sigma_dict(class_index)
         sres = self.sigma_res
         u0 = v0 = up = vp = 0       # sums over n prime to p, and over p | n
-        empty = True
+        has0 = hasp = False         # whether each has a term
         for ns, sus, svs in bank.series(m):
-            empty = False
             # one sieve for the whole index, built only when a term exists
             self._ensure_spf((MD - 1) // N)
             for n, su, sv in zip(ns, sus, svs):
@@ -703,12 +708,13 @@ class HeightContext:
                 if n % p:
                     u0 += su * sg
                     v0 += sv * sg
+                    has0 = True
                 else:
                     up += su * sg
                     vp += sv * sg
-        if empty:
-            return None
-        return tuple(x * scale % pW for x in (u0, v0, up, vp))
+                    hasp = True
+        return ((u0 * scale % pW, v0 * scale % pW) if has0 else None,
+                (up * scale % pW, vp * scale % pW) if hasp else None)
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,24 @@ def digest(line: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+# heightsum cells whose lattice weights pass 2^62 (ell = 14 and ell = 10),
+# with the digests the term-by-term oracle prints for them
+WIDE = {
+    "heightsum --disc -7 --level 23 --p 11 --r 8 --k 7 --m 5 --prec 30":
+    "8e16b5285f023e08cc88fbc5b9cf959e9a5a680be634defdc7ef262189076108",
+    "heightsum --disc -7 --level 23 --p 11 --r 8 --k 7 --m 13 --prec 30":
+    "edbe5ad41f32d10c7477177a9025bd074e1f439081fc4b40f367e8f74538adbe",
+    "heightsum --disc -31 --level 7 --p 5 --r 6 --k 5 --m 3 --class 1 "
+    "--prec 30":
+    "077348e857384a45059c1663b620a5fbb82f982dc7a9f9edef5c517f7ec3d514",
+}
+
+
+@pytest.mark.parametrize("line", sorted(WIDE))
+def test_wide_weight_heightsum_digest(line):
+    assert digest(line) == WIDE[line]
+
+
 def test_table_lists_every_line():
     assert sorted(json.loads(TABLE.read_text())) == sorted(LINES)
 

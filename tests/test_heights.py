@@ -176,12 +176,7 @@ def _brute_series(form, D, ell, m, aD, level):
         for t in range(-tmax, tmax + 1):
             q = a * s * s + b * s * t + c * t * t
             if 0 < q < md and (md - q) % level == 0:
-                u, v = 2 * a * s + b * t, t
-                if ell == 2:
-                    U, V = u * u + D * v * v, 2 * u * v
-                else:
-                    U = u ** 4 + 6 * D * u * u * v * v + D * D * v ** 4
-                    V = 4 * u * v * (u * u + D * v * v)
+                U, V = _expand(2 * a * s + b * t, t, D, ell)
                 n = (md - q) // level
                 su, sv = acc.get(n, (0, 0))
                 acc[n] = (su + U, sv + V)
@@ -195,7 +190,7 @@ def test_strided_split_bank_vs_bruteforce():
     m = 40_000
     ctx.prefetch([(0, m)])
     bank = ctx._bank(0)
-    assert bank.split
+    assert bank.nparts == 2
     ns, sus, svs = _series(bank, m)
     want = _brute_series(ctx.group.forms[0], -7, 4, m, 7, 23)
     assert dict(zip(ns, zip(sus, svs))) == want
@@ -206,9 +201,22 @@ def test_strided_direct_bank_vs_bruteforce():
     m = 2000
     ctx.prefetch([(0, m)])
     bank = ctx._bank(0)
-    assert not bank.split
+    assert bank.nparts == 1
     ns, sus, svs = _series(bank, m)
     want = _brute_series(ctx.group.forms[0], -7, 2, m, 7, 23)
+    assert dict(zip(ns, zip(sus, svs))) == want
+
+
+def test_strided_wide_bank_vs_bruteforce():
+    # the ell = 14 weight bound passes 2^67 (three 26-bit parts), so the
+    # weights are computed in python ints
+    ctx = HeightContext(-7, 23, 11, 8, 7, n_prec=30)
+    m = 60
+    ctx.prefetch([(0, m)])
+    bank = ctx._bank(0)
+    assert bank.nparts == 3
+    ns, sus, svs = _series(bank, m)
+    want = _brute_series(ctx.group.forms[0], -7, 14, m, 7, 23)
     assert dict(zip(ns, zip(sus, svs))) == want
 
 
@@ -222,7 +230,8 @@ def _expand(u, v, D, ell):
 @pytest.mark.parametrize("D", (-7, -23, -55, -195))
 def test_weights_exact_up_to_the_bound(D):
     # _weights against the binomial expansion, on points whose weight bound
-    # is just under the 2^62 that _ThetaBank._scan admits, corners included
+    # is just under the 2^62 below which _ThetaBank._scan runs it on int64,
+    # corners included; past the bound, on python ints
     rng = random.Random(D)
     for ell in (2, 4, 6, 8, 10):
         for ratio in (1, 16):
@@ -244,6 +253,12 @@ def test_weights_exact_up_to_the_bound(D):
             v = np.array([b for _, b in pts], dtype=np.int64)
             U, V = heights._weights(u, v, D, ell)
             assert U.dtype == V.dtype == np.int64
+            assert list(zip(U.tolist(), V.tolist())) == [
+                _expand(a, b, D, ell) for a, b in pts], (ell, ratio)
+            pts = [(a * 16 + 1, b * 16 - 1) for a, b in pts]
+            u = np.array([a for a, _ in pts], dtype=object)
+            v = np.array([b for _, b in pts], dtype=object)
+            U, V = heights._weights(u, v, D, ell)
             assert list(zip(U.tolist(), V.tolist())) == [
                 _expand(a, b, D, ell) for a, b in pts], (ell, ratio)
 
@@ -331,7 +346,7 @@ def test_bank_every_class_vs_bruteforce(args):
     # in each field class 2 is the inverse of class 1 and reads its bank
     assert ctx._bank_of[2] == (1, -1)
     assert sorted(ctx._banks) == [ci for ci in range(ctx.h) if ci != 2]
-    assert ctx._bank(1).split == split
+    assert (ctx._bank(1).nparts == 2) == split
     for ci in range(ctx.h):
         _assert_bank_matches_brute(ctx, ci, ms)
 
@@ -362,10 +377,10 @@ def test_bank_split_switch_rescans_held_residues():
     # the residues already held must be rescanned into two parts
     ctx = HeightContext(-7, 23, 11, 3, 2)
     ctx.prefetch([(0, 50), (0, 51)])
-    assert not ctx._bank(0).split
+    assert ctx._bank(0).nparts == 1
     ctx.prefetch([(0, 40_000)])
     bank = ctx._bank(0)
-    assert bank.split
+    assert bank.nparts == 2
     assert all(len(su) == len(sv) == 2 for _, su, sv in bank.arrays.values())
     # the weights of the large index pass 2^26, so its high words are used
     assert bank.arrays[40_000 * 7 % 23][1][1].any()
@@ -394,9 +409,9 @@ def test_bank_split_switch_seen_through_mirror_class():
     ctx = HeightContext(-31, 7, 5, 3, 2)
     assert ctx._bank_of[1:] == [(1, 1), (1, -1)]
     ctx.prefetch([(2, 50), (2, 51)])
-    assert not ctx._bank(2).split
+    assert ctx._bank(2).nparts == 1
     ctx.prefetch([(2, 3000)])
-    assert list(ctx._banks) == [1] and ctx._bank(1).split
+    assert list(ctx._banks) == [1] and ctx._bank(1).nparts == 2
     for ci in (1, 2):
         _assert_bank_matches_brute(ctx, ci, [50, 51, 3000])
 
@@ -420,7 +435,7 @@ def test_scan_scratch_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     # the dense-equivalent bytes: two sums of 8-byte parts per position
-    dense = sum(16 * (2 if bk.split else 1) * ((top - rho) // ctx.level)
+    dense = sum(16 * bk.nparts * ((top - rho) // ctx.level)
                 for bk in ctx._banks.values() for rho, top in bk.tops.items())
     assert dense > 4 << 20
     assert peak - _bank_bytes(ctx) < 12 << 20
@@ -578,7 +593,7 @@ def test_series_chunks_cut_anywhere(monkeypatch, args, m, split):
     ctx = HeightContext(*args, n_prec=30)
     ctx.prefetch([(0, m)])
     bank = ctx._bank(0)
-    assert bank.split == split
+    assert (bank.nparts == 2) == split
     chunks = list(bank.series(m))
     assert len(chunks) > 50
     assert all(ns[-1] - ns[0] < 7 for ns, _, _ in chunks)
@@ -603,6 +618,16 @@ def test_c_seq_empty_sum_is_zero(ctx21):
         assert v.valuation() >= ctx21.n_prec
         assert v.is_exact_zero()
         assert b_seq(ctx21, 0, m).is_exact_zero()
+
+
+def test_b_without_prime_to_p_term_is_exact_zero():
+    # at level 38 every lattice term of index 25 has 5 | n: B and a_25 are
+    # exact zeros, as fourier_am_direct gives, while C is not
+    ctx = HeightContext(-31, 38, 5, 2, 1, n_prec=10)
+    assert fourier_am_direct(ctx, 0, 25).is_exact_zero()
+    assert fourier_am(ctx, 0, 25).is_exact_zero()
+    assert b_seq(ctx, 0, 25).is_exact_zero()
+    assert not c_seq(ctx, 0, 25).is_zero()
 
 
 def test_b_equals_c_when_range_below_p(ctx_big):
@@ -825,6 +850,9 @@ def test_local_height_hypothesis_errors(ctx21):
     ((-31, 7, 5, 3, 2), (24, 0, 1)),
     ((-51, 11, 5, 2, 1), (21, 0, 2)),
     ((-55, 13, 7, 2, 1), (42, 2, 0)),
+    # weights past 2^62: ell = 14 and ell = 10
+    ((-7, 23, 11, 8, 7), (7, 4, 0)),
+    ((-31, 7, 5, 6, 5), (24, 0, 1)),
 ])
 def test_local_height_sum_prints_the_oracle_at_working_precision(args, counts):
     # the bank path prints the oracle's bytes, the oracle cut to absolute
