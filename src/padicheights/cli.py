@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from math import factorial
@@ -63,10 +64,23 @@ def _dump_csv(header, rows) -> str:
     return buf.getvalue()
 
 
+def _check_output(path):
+    """Reject an --output PATH that cannot be opened for writing, before any
+    computation runs and without creating it."""
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write --output {path}: it is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise UsageError(f"cannot write --output {path}: no such directory")
+
+
 def _write(text: str, path):
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(
+                f"cannot write --output {path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -251,28 +265,16 @@ def _cmd_bc_check(args) -> int:
     return 0 if report["pass"] else 1
 
 
-def _cmd_fourier(args) -> int:
+def _cmd_index_value(args, func, key: str) -> int:
+    """fourier and heightsum: one p-adic value func(ctx, class, m)."""
     _positive(args.m, "m")
     ctx = _context(args)
     _check_class(args.disc, args.class_index)
-    am = fourier_am(ctx, args.class_index, args.m)
+    val = func(ctx, args.class_index, args.m)
     doc = {"context": ctx.to_json(),
            "class": args.class_index,
            "m": args.m,
-           "coefficient": am.to_json()}
-    _write(dump_json(doc), args.output)
-    return 0
-
-
-def _cmd_heightsum(args) -> int:
-    _positive(args.m, "m")
-    ctx = _context(args)
-    _check_class(args.disc, args.class_index)
-    val = local_height_sum(ctx, args.class_index, args.m)
-    doc = {"context": ctx.to_json(),
-           "class": args.class_index,
-           "m": args.m,
-           "value": val.to_json()}
+           key: val.to_json()}
     _write(dump_json(doc), args.output)
     return 0
 
@@ -388,14 +390,16 @@ def build_parser() -> _Parser:
     _add_ctx_flags(p)
     p.add_argument("--m", type=int, required=True, help="coefficient index")
     p.add_argument("--class", dest="class_index", type=int, default=0)
-    p.set_defaults(func=_cmd_fourier)
+    p.set_defaults(func=lambda args: _cmd_index_value(args, fourier_am,
+                                                      "coefficient"))
 
     p = sub.add_parser("heightsum", parents=[out],
                        help="local height coefficient sum")
     _add_ctx_flags(p)
     p.add_argument("--m", type=int, required=True, help="coefficient index")
     p.add_argument("--class", dest="class_index", type=int, default=0)
-    p.set_defaults(func=_cmd_heightsum)
+    p.set_defaults(func=lambda args: _cmd_index_value(args, local_height_sum,
+                                                      "value"))
 
     p = sub.add_parser("crosscheck", parents=[out],
                        help="operator image of the height sums against the "
@@ -423,6 +427,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if args.output:
+            _check_output(args.output)
         return args.func(args)
     except _REJECTIONS as exc:
         sys.stderr.write(f"padicheights: {exc}\n")

@@ -25,7 +25,7 @@ from math import isqrt
 
 import mpmath
 
-from .padic import (PadicError, PadicNumber, lift_pair_root, padic_sqrt,
+from .padic import (PadicError, PadicNumber, lift_pair_root, nth_root_zp,
                     pair_pow)
 from .quadfield import (KElem, class_group, class_index_of_ideal, ideal_conj,
                         ideal_mult, ideal_norm, ideal_of_form, ideal_pow,
@@ -340,7 +340,7 @@ def build_char(D, ell, mode, p=None, prec=None, twist=None):
         if kronecker(D, p) != 1:
             raise CharBuildError(f"p = {p} does not split in Q(sqrt({D}))")
         prec = 30 if prec is None else prec
-        s_D = PadicNumber(p, 0, padic_sqrt(p, D, prec), prec)
+        s_D = PadicNumber(p, 0, nth_root_zp(p, D, 2, prec), prec)
         nonres = smallest_nonresidue(p)
     elif mode == "complex":
         prec = 40 if prec is None else prec
@@ -350,6 +350,7 @@ def build_char(D, ell, mode, p=None, prec=None, twist=None):
         raise CharBuildError("twist needs one entry per class-group generator")
 
     raw_roots = []
+    powers = []                 # (alpha^ell in the mode, N(alpha))
     audit = []
     ground = True
     for idx, (gi, di) in enumerate(G.generators):
@@ -374,6 +375,7 @@ def build_char(D, ell, mode, p=None, prec=None, twist=None):
             with mpmath.workdps(prec):
                 ngl = mpmath.mpf(1) / (ng ** ell)
             raw_roots.append((gen_ideal, root, ngl))
+            powers.append((target, alpha.norm()))
         else:
             if ng % p == 0:
                 raise CharBuildError(
@@ -396,6 +398,7 @@ def build_char(D, ell, mode, p=None, prec=None, twist=None):
                 ground = False
             entry["root"] = [str(pair[0]), str(pair[1])]
             raw_roots.append((gen_ideal, pair, Fraction(1, ng ** ell)))
+            powers.append((a_emb, alpha.norm()))
         audit.append(entry)
 
     gen_roots = raw_roots
@@ -420,10 +423,10 @@ def build_char(D, ell, mode, p=None, prec=None, twist=None):
 
     # sanity: stored roots actually solve chi(g)^d = alpha^ell
     with char._ctx():
-        for (gen_ideal, root, _), (gi, di) in zip(gen_roots, G.generators):
-            alpha = principal_generator(D, ideal_pow(D, gen_ideal, di))
-            if not char.close(root ** di, char.embed(alpha) ** ell,
-                              scale=abs(alpha.norm()) ** (ell // 2)):
+        for (_, root, _), (_, di), (power, norm) in zip(
+                gen_roots, G.generators, powers):
+            if not char.close(root ** di, power,
+                              scale=abs(norm) ** (ell // 2)):
                 raise CharBuildError("root verification failed (bug)")
     return char
 

@@ -71,6 +71,11 @@ class HeightError(ValueError):
     pass
 
 
+def _require_index(m):
+    if not (isinstance(m, int) and m >= 1):
+        raise HeightError("index m must be a positive integer")
+
+
 class PrecisionLedger:
     """Accumulated worst-case digit loss, entry by entry."""
 
@@ -224,8 +229,7 @@ class _ThetaBank:
         aD, N = self.aD, self.N
         tops = dict(self.tops)
         for m in m_values:
-            if m < 1:
-                raise HeightError("index m must be >= 1")
+            _require_index(m)
             MD = m * aD
             rho = MD % N
             tops[rho] = max(tops.get(rho, 0), MD)
@@ -458,7 +462,6 @@ class HeightContext:
             self._bank_of.append((ci, 1) if ci <= inv else (inv, -1))
         self._banks = {}
         self._sums = {}
-        self._pair = {}
         self._spf = None
         self._plog = {}
         self._sigma_cache = {}
@@ -632,19 +635,15 @@ class HeightContext:
     # -- the B/C pair -----------------------------------------------------------
 
     def _cb(self, class_index: int, m: int, variant: int):
-        """(C_m, B_m) for one class, cached; variant 1 replaces H by H + 1.
+        """(C_m, B_m) for one class from the cached sums; variant 1 replaces
+        H by H + 1.
 
         The terms r_chi sigma pol are summed exactly as su sigma pol and
         sv sigma pol, with r_chi = (su + sv shat) * the class theta
         constant, split by p | n (see _bc_sums).  Classes c and c^-1 share
         those sums up to the sign of the sv sums, since they share a bank
         and (having one genus signature) sigma."""
-        if not (isinstance(m, int) and m >= 1):
-            raise HeightError("index m must be a positive integer")
-        key = (class_index, m, variant)
-        hit = self._pair.get(key)
-        if hit is not None:
-            return hit
+        _require_index(m)
         bank_key, sign = self._bank_of[class_index]
         skey = (bank_key, m, variant)
         if skey not in self._sums:
@@ -662,9 +661,7 @@ class HeightContext:
             x = sum(u + v * shat for u, v in sums) * konst % pW
             return PadicNumber(p, 0, x, self.W)
 
-        cv, bv = value((prime, part)), value((prime,))
-        self._pair[key] = (cv, bv)
-        return cv, bv
+        return value((prime, part)), value((prime,))
 
     def _bc_sums(self, class_index: int, m: int, variant: int):
         """The pairs (sum su sigma pol, sum sv sigma pol) over the n prime to
@@ -842,11 +839,15 @@ def _fourier_const(ctx: HeightContext) -> PadicNumber:
         ctx.p, Fraction((-1) ** ctx.r, ctx.binom * ctx.aD ** ctx.k), ctx.W)
 
 
+def _require_p_divides(ctx: HeightContext, m: int):
+    if m % ctx.p:
+        raise HeightError(f"hypothesis p | m fails: p = {ctx.p}, m = {m}")
+
+
 def fourier_am(ctx: HeightContext, class_index: int, m: int) -> PadicNumber:
     """a_m of the p-adic measure integral (see fourier_am_direct), read off
     the banked B sequence: a_m = (-1)^r B_m / (binom |D|^k)."""
-    if m % ctx.p:
-        raise HeightError(f"hypothesis p | m fails: p = {ctx.p}, m = {m}")
+    _require_p_divides(ctx, m)
     return b_seq(ctx, class_index, m) * _fourier_const(ctx)
 
 
@@ -860,9 +861,8 @@ def fourier_am_direct(ctx: HeightContext, class_index: int,
     The inner argument keeps d^2 in the denominator: the two paths agree to
     working precision with this ratio and with no other, and it continues
     the pre-substitution form (index - nN)/(|D_1| d^2)."""
+    _require_p_divides(ctx, m)
     p, N, aD, W = ctx.p, ctx.level, ctx.aD, ctx.W
-    if m % p:
-        raise HeightError(f"hypothesis p | m fails: p = {p}, m = {m}")
     MD = m * aD
     na = class_norm(ctx.D, class_index)
     mh = Fraction(m ** ctx.m_H)
@@ -901,10 +901,14 @@ def _height_const(ctx: HeightContext, m: int = 1) -> PadicNumber:
                         ctx.D ** ctx.k * ctx.binom), ctx.W)
 
 
-def _require_height_index(ctx: HeightContext, class_index: int, m: int):
+def _require_coprime_level(ctx: HeightContext, m: int):
     if gcd(m, ctx.level) != 1:
         raise HeightError(f"hypothesis gcd(m, N) = 1 fails: m = {m}, "
                           f"N = {ctx.level}")
+
+
+def _require_height_index(ctx: HeightContext, class_index: int, m: int):
+    _require_coprime_level(ctx, m)
     if count_rA(ctx.D, class_index, m) != 0:
         raise HeightError(f"hypothesis r_A(m) = 0 fails: class {class_index} "
                           f"contains an ideal of norm {m}")
@@ -951,15 +955,12 @@ def _hf_sides(ctx: HeightContext, class_index: int, m: int):
     applied to (-1)^(r+k+1) (4|D|)^(r-k-1) a_m: on the bank paths, the B/C
     sides of bc_residual times the one constant
     K = (-1)^(k+1) (4|D|)^(r-k-1) / (binom |D|^k) of _height_const."""
-    p = ctx.p
-    if m % p:
-        raise HeightError(f"hypothesis p | m fails: p = {p}, m = {m}")
-    if gcd(m, ctx.level) != 1:
-        raise HeightError(f"hypothesis gcd(m, N) = 1 fails: m = {m}, "
-                          f"N = {ctx.level}")
-    touched = sorted({(ctx.group.mult(class_index, sh), m * p ** du)
-                      for _, du, sh in uf_terms(ctx)}
-                     | {(class_index, m * p ** i) for i in range(5)})
+    _require_p_divides(ctx, m)
+    _require_coprime_level(ctx, m)
+    # the operator's cells and every (class, m p^i), i <= 4: _op_pairs holds
+    # i = 1, 3 only when the primes above p are principal
+    touched = sorted(set(_op_pairs(ctx, class_index, m))
+                     | {(class_index, m * ctx.p ** i) for i in range(5)})
     bad = [(ci, M) for ci, M in touched if count_rA(ctx.D, ci, M) != 0]
     if bad:
         raise HeightError("hypothesis r_A = 0 fails at " + ", ".join(

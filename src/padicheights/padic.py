@@ -58,12 +58,6 @@ class PadicNumber:
             val += v
             prec -= v
             u //= p ** v
-            u %= p ** prec
-            if u == 0:
-                self.val = val + prec
-                self.unit = 0
-                self.prec = 0
-                return
         self.val = val
         self.unit = u
         self.prec = prec
@@ -380,10 +374,6 @@ def nth_root_zp(p: int, a: int, d: int, N: int):
     if d % p == 0:
         raise PadicError(f"roots of X^{d} - {a % p} mod {p} are not simple")
     return lift_pair_root(p, 0, (roots[0], 0), a, d, N)[0]
-
-
-def padic_sqrt(p: int, a: int, N: int):
-    return nth_root_zp(p, a, 2, N)
 
 
 # ---------------------------------------------------------------------------

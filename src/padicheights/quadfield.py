@@ -513,11 +513,7 @@ class ClassGroup:
         self._index = {f: i for i, f in enumerate(self.forms)}
         self._mult = {}
         self.identity = self._index[principal_form(D)]
-        self.generators = self._decompose()
-        self._dlog = self._dlog_table()
-
-    def index(self, f) -> int:
-        return self._index[reduce_form(f)]
+        self.generators, self._dlog = self._decompose()
 
     def mult(self, i: int, j: int) -> int:
         key = (i, j) if i <= j else (j, i)
@@ -550,9 +546,11 @@ class ClassGroup:
 
     def _decompose(self):
         """Cyclic decomposition: generators g_i with orders d_1 | ... pattern
-        chosen greedily by maximal order in the remaining quotient."""
+        chosen greedily by maximal order in the remaining quotient.  Also
+        returns the discrete-log table: each class mapped to its exponents
+        over the generators."""
         gens = []
-        subgroup = {self.identity}
+        subgroup = {self.identity: ()}     # <gens>, with exponents over gens
         while len(subgroup) < self.h:
             # order of the image of g in G/<gens>: min k with g^k in subgroup
             best, best_ord = None, 1
@@ -566,49 +564,25 @@ class ClassGroup:
                 if k > best_ord:
                     best, best_ord = g, k
             g, d = best, best_ord
-            # adjust so g^d is the identity, not just inside the subgroup
-            r = self.pow(g, d)
-            if r != self.identity:
-                # r = product of earlier generators; divide out a d-th root
-                exps = self._solve_in(gens, r)
-                for (gi, di), e in zip(gens, exps):
-                    if e % d != 0:
-                        raise QuadFieldError("decomposition failure (bug)")
-                    g = self.mult(g, self.pow(self.inv(gi), e // d))
-                if self.pow(g, d) != self.identity:
+            # adjust so g^d is the identity, not just inside the subgroup:
+            # g^d = prod gi^ei, so divide out prod gi^(ei/d)
+            for (gi, _), e in zip(gens, subgroup[self.pow(g, d)]):
+                if e % d != 0:
                     raise QuadFieldError("decomposition failure (bug)")
+                g = self.mult(g, self.pow(self.inv(gi), e // d))
+            if self.pow(g, d) != self.identity:
+                raise QuadFieldError("decomposition failure (bug)")
             gens.append((g, d))
-            new = set()
-            for s in subgroup:
+            new = {}
+            for s, exps in subgroup.items():
                 r = s
-                for _ in range(d):
-                    new.add(r)
+                for j in range(d):
+                    new[r] = exps + (j,)
                     r = self.mult(r, g)
+            if len(new) != len(subgroup) * d:
+                raise QuadFieldError("generators do not span (bug)")
             subgroup = new
-        return gens
-
-    def _solve_in(self, gens, target):
-        """Exponents of target over gens by exhaustive search (small h)."""
-        from itertools import product as iproduct
-        for exps in iproduct(*[range(d) for (_, d) in gens]):
-            r = self.identity
-            for (gi, _), e in zip(gens, exps):
-                r = self.mult(r, self.pow(gi, e))
-            if r == target:
-                return exps
-        raise QuadFieldError("element not in subgroup (bug)")
-
-    def _dlog_table(self):
-        table = {}
-        from itertools import product as iproduct
-        for exps in iproduct(*[range(d) for (_, d) in self.generators]):
-            r = self.identity
-            for (gi, _), e in zip(self.generators, exps):
-                r = self.mult(r, self.pow(gi, e))
-            table.setdefault(r, exps)
-        if len(table) != self.h:
-            raise QuadFieldError("generators do not span (bug)")
-        return table
+        return gens, subgroup
 
     def dlog(self, i: int):
         return self._dlog[i]
@@ -753,27 +727,18 @@ def primitive_ideals_of_norm(D: int, n: int) -> list:
             qmod = q**e
             if not qroots:
                 return []
-        new = []
-        for r1 in crt_roots:
-            for r2 in qroots:
-                # CRT combine
-                g, s, _ = _xgcd(crt_mod, qmod)
-                x = (r1 + (r2 - r1) * s % qmod * crt_mod) % (crt_mod * qmod)
-                new.append(x)
-        crt_roots = new
+        # CRT combine
+        _, s, _ = _xgcd(crt_mod, qmod)
+        crt_roots = [(r1 + (r2 - r1) * s % qmod * crt_mod) % (crt_mod * qmod)
+                     for r1 in crt_roots for r2 in qroots]
         crt_mod *= qmod
-    # crt_mod = 2 * n / gcd stuff; roots are defined mod crt_mod and b runs mod 2n
+    # crt_mod is now 2^(t+1) * prod q^e = 2n: each root is the one b mod 2n
     out = []
-    seen = set()
-    for r in crt_roots:
-        for b in range(r % crt_mod, 2 * n, crt_mod):
-            bb = b % (2 * n)
-            if bb in seen:
-                continue
-            if (bb * bb - D) % (4 * n) == 0:
-                seen.add(bb)
-                out.append(normalize_ideal(D, 1, n, bb))
-    return sorted(set(out))
+    for b in crt_roots:
+        if (b * b - D) % (4 * n) != 0:
+            raise QuadFieldError("CRT root fails b^2 = D mod 4n (bug)")
+        out.append(normalize_ideal(D, 1, n, b))
+    return sorted(out)
 
 
 def ideals_of_norm(D: int, n: int) -> list:

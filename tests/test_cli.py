@@ -341,6 +341,33 @@ def test_output_file(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == direct
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_output_rejected_before_computing(tmp_path, capsys,
+                                                     monkeypatch, where):
+    target = tmp_path / "missing" / "x.json" if where == "missing directory" \
+        else tmp_path
+    monkeypatch.setattr(cli, "class_group",
+                        lambda D: pytest.fail("computed before the check"))
+    code, out, err = run_cli(capsys, "classgroup", "--disc", "-23",
+                             "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"padicheights: cannot write --output {target}: ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_write_error_exits_2(tmp_path, capsys, monkeypatch):
+    # an OSError that only opening the file shows is a rejection as well
+    monkeypatch.setattr(cli, "_check_output", lambda path: None)
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "classgroup", "--disc", "-23",
+                             "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err == (f"padicheights: cannot write --output {target}: "
+                   "No such file or directory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_byte_determinism_across_processes():
     commands = [
         ("classgroup", "--disc", "-23"),

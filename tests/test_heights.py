@@ -651,6 +651,26 @@ def test_m_must_be_positive(ctx21):
         c_seq(ctx21, 0, 0)
 
 
+def test_hypothesis_messages_are_pinned(ctx21):
+    # whole messages, one per hypothesis, through every public entry point
+    index = "index m must be a positive integer"
+    p_m = "hypothesis p | m fails: p = 11, m = 7"
+    level = "hypothesis gcd(m, N) = 1 fails: m = 46, N = 23"
+    cases = [(lambda: c_seq(ctx21, 0, 0), index),
+             (lambda: ctx21.prefetch([(0, 0)]), index),
+             (lambda: fourier_am(ctx21, 0, 7), p_m),
+             (lambda: fourier_am_direct(ctx21, 0, 7), p_m),
+             (lambda: height_fourier_residual(ctx21, 0, 7), p_m),
+             (lambda: local_height_sum(ctx21, 0, 46), level),
+             (lambda: local_height_sum_direct(ctx21, 0, 46), level),
+             (lambda: height_fourier_residual(
+                 ctx21, 0, 253), level.replace("46", "253"))]
+    for call, message in cases:
+        with pytest.raises(HeightError) as err:
+            call()
+        assert str(err.value) == message
+
+
 def test_recomputation_bit_exact(ctx21):
     a = c_seq(ctx21, 0, 109)
     fresh = HeightContext(-7, 23, 11, 2, 1, n_prec=30)

@@ -216,6 +216,22 @@ def test_class_group_minus23_cyclic3():
     assert [d for _, d in G.generators] == [3]
 
 
+def test_class_group_decomposition_is_pinned():
+    # the generators and every discrete log over the 407 supported fields
+    # with -2000 < D <= -7 (h <= 31); a character is fixed by its values on
+    # these generators, so any change here changes chi
+    import hashlib
+    digest = hashlib.sha256()
+    discs = valid_discs(-1999)
+    assert len(discs) == 407
+    for D in discs:
+        G = qf.ClassGroup(D)
+        digest.update(repr((D, G.generators,
+                            [G.dlog(i) for i in range(G.h)])).encode())
+    assert digest.hexdigest() == (
+        "49100d07d8937c9870a6d054a5262f0826eb1f49bcd9468021248b60cf0a074e")
+
+
 # ---------------------------------------------------------------------------
 # ideals
 
@@ -241,6 +257,17 @@ def test_ideals_of_norm_small():
     # ramified
     assert len(qf.ideals_of_norm(-7, 7)) == 1
     assert qf.ideals_of_norm(-7, 49) == [((7, 1, 1), 0)]
+
+
+@pytest.mark.parametrize("D", [-7, -15, -23, -39, -55, -195, -255, -1155])
+def test_primitive_ideals_match_odd_b_scan(D):
+    # powers of 2, ramified primes and odd prime powers, against the
+    # definition: one ideal (1, n, b) per odd b mod 2n with b^2 = D mod 4n
+    for n in range(1, 1200):
+        brute = sorted(qf.normalize_ideal(D, 1, n, b)
+                       for b in range(1, 2 * n, 2)
+                       if (b * b - D) % (4 * n) == 0)
+        assert qf.primitive_ideals_of_norm(D, n) == brute, (D, n)
 
 
 def test_count_rA_nonpositive_and_fractional():
