@@ -19,20 +19,22 @@ whose per-norm sums are exact in any order of addition: every weight is an
 integer, and every partial sum of the float64 accumulators is bounded by
 _COUNT_BOUND times the largest weight, below 2^53 (weights are split into
 26-bit parts when single words could pass it, and computed in python ints
-when they could pass 2^62).  The scan bins one block of _BLOCK_CELLS points
-at a time into a dense array of the residue it scans, and
+when they could pass 2^62).  The scan bins one block of _BLOCK_CELLS = 2^12
+points at a time into a dense array of the residue it scans, and
 the series are read out in chunks of as many n, so the scratch memory of a
-scan is a few dozen 8-byte words per block cell beside one residue's dense
-array, and that of a sum is bounded by the block, whatever the bank's size.
+scan is fewer than 24 8-byte words per block cell (0.75 MiB) beside one
+residue's dense array, and that of a sum is bounded by the block, whatever
+the bank's size.
 Index m only reads norms in the residue class of m|D| mod N, and the scan
 visits only those points: the cosets of N Z^2 on which the form takes a
 requested residue (see _Cosets), each inside that residue's own ellipse.
 Classes c and c^-1 share one bank, since (s, t) -> (s, -t) maps the lattice of
 the reduced form (a, b, c) onto that of (a, -b, c) and negates SUM V; so c^-1
 reads the bank of c with SUM V negated, and their B/C sums come from one pass.
-Per residue the bank keeps one int32 position plus one float64 word per part
-for each nonzero norm below the largest requested norm (see _ThetaBank), per
-inverse pair, with no memory cap.
+Per residue the bank keeps one int32 position plus one word per part for
+each nonzero norm below the largest requested norm (see _ThetaBank), per
+inverse pair, with no memory cap: an int32 word where every sum of that part
+lies strictly inside +-2^31, a float64 word otherwise.
 """
 
 from __future__ import annotations
@@ -63,8 +65,10 @@ _COUNT_BOUND = 1 << 12
 _QMAX_LIMIT = 10 ** 9
 # points per scan block and positions per series chunk: the scratch memory
 # of a scan (a few dozen int64 arrays of this length) and of a sum (python
-# lists of this length) is bounded by it, not by the bank's size
-_BLOCK_CELLS = 1 << 16
+# lists of this length) is bounded by it, not by the bank's size.  The
+# bcsweep-h3 benchmark peaks at 48 MiB of RSS with 2^12 and at 55 MiB with
+# 2^16, at the same speed (BENCH_15.json)
+_BLOCK_CELLS = 1 << 12
 
 
 class HeightError(ValueError):
@@ -129,6 +133,15 @@ def _weights(u, v, D: int, ell: int):
         if e:
             x = square(x)
     return r
+
+
+def _narrow(arr):
+    """A compacted bank part as int32 when every value lies strictly inside
+    +-2^31, else as the float64 it was binned in (exact integers either
+    way)."""
+    if arr.size and not -(1 << 31) < arr.min() <= arr.max() < 1 << 31:
+        return arr
+    return arr.astype(np.int32)
 
 
 class _Cosets:
@@ -198,18 +211,22 @@ class _ThetaBank:
     progression in the residue rho = m|D| mod N.  For each requested
     residue the bank keeps the sorted int32 positions i of the nonzero sums
     at j = rho + iN, for j below the largest m|D| requested in that residue
-    (its top), with the float64 parts of both sums at those positions;
-    index m reads its n-th term at position K - n (K = (m|D| - rho)/N).
-    The residues never overlap, so the bank of a pair holds one int32
-    position plus one float64 word per part for each nonzero norm below
-    the largest requested m|D|; it needs no memory cap of its own.
+    (its top), with the parts of both sums at those positions, each part an
+    int32 array when all its values lie strictly inside +-2^31 and a
+    float64 array otherwise; index m reads its n-th term at position K - n
+    (K = (m|D| - rho)/N).  The residues never overlap, so the bank of a
+    pair holds one int32 position plus one word per part for each nonzero
+    norm below the largest requested m|D| (12 bytes at ell = 2 where every
+    sum fits int32, against 20 in float64); it needs no memory cap of its
+    own.
 
     The scan visits only points that some residue reads.  The points with
     Q = rho (mod N) are the cosets (s0, t0) + N Z^2 that _Cosets lists, and
     each coset is cut into rows s = s0 + Ni, whose exact t-span inside the
     residue's own ellipse Q < top follows from 4cQ = (2ct + bs)^2 + |D|s^2.
-    A residue is binned into one dense array per part and compacted when
-    its scan ends, so only the residue being scanned is ever dense.  It is
+    A residue is binned, _BLOCK_CELLS points at a time, into one dense
+    float64 array per part and compacted when its scan ends, so only the
+    residue being scanned is ever dense.  It is
     rescanned only when its top grows (or its number of parts changes), so
     a bank prefetched one index at a time keeps the residues it holds."""
 
@@ -243,10 +260,12 @@ class _ThetaBank:
         sign * SUM V values.  Chunks with no such n are skipped."""
         rho, K = self._position(m)
         pos, su, sv = self.arrays[rho]
-        for i0 in range(0, K, _BLOCK_CELLS):
-            # n in (i0, i1] sits at positions K - i1 .. K - i0 - 1
-            lo, hi = np.searchsorted(
-                pos, (K - min(i0 + _BLOCK_CELLS, K), K - i0)).tolist()
+        # chunk j holds n in (jB, (j+1)B] (B = _BLOCK_CELLS), at positions
+        # K - (j+1)B .. K - jB - 1; one search finds the ends of every chunk,
+        # since each search with int64 keys copies the whole of pos to int64
+        cuts = np.searchsorted(pos, K - np.minimum(
+            np.arange(0, K + _BLOCK_CELLS, _BLOCK_CELLS), K)).tolist()
+        for hi, lo in zip(cuts, cuts[1:]):
             if lo < hi:
                 yield ((K - pos[lo:hi][::-1]).tolist(),
                        self._exact([a[lo:hi][::-1] for a in su], 1),
@@ -274,11 +293,12 @@ class _ThetaBank:
         return rho, (MD - rho) // N
 
     def _exact(self, parts, sign: int):
-        """The python ints of one sum's float64 parts, times sign."""
-        # the float64 parts are exact integers by construction; a part
+        """The python ints of one sum's parts, times sign."""
+        # the int32 and float64 parts are exact integers by construction;
+        # each is negated in int64, where no part can wrap, and a part
         # shifted back up can pass 2^63, so they are added in python ints
-        ints = [(-a if sign < 0 else a).astype(np.int64).tolist()
-                for a in parts]
+        ints = [(-x if sign < 0 else x).tolist()
+                for x in (a.astype(np.int64) for a in parts)]
         out = ints.pop()
         while ints:
             out = [x + (y << 26) for x, y in zip(ints.pop(), out)]
@@ -375,7 +395,7 @@ class _ThetaBank:
         for arr in store[0][1:] + store[1]:
             nz |= arr != 0
         pos = np.flatnonzero(nz).astype(np.int32)
-        return (pos,) + tuple(tuple(arr[pos] for arr in parts)
+        return (pos,) + tuple(tuple(_narrow(arr[pos]) for arr in parts)
                               for parts in store)
 
     def _bin(self, store, idx, U, V):

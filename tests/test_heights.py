@@ -403,6 +403,48 @@ def test_bank_keeps_norms_with_only_a_v_sum(monkeypatch):
     assert len(ns) > 10
 
 
+def test_bank_words_are_int32_only_where_exact(monkeypatch):
+    # rig the weights of two norms of the bank that classes 1 and 2 of
+    # D = -31 share, each a single pair +-(u, v) with uv > 0: residue 5's
+    # sums reach +-(2^31 - 1), which an int32 word holds, and residue 1's
+    # reach +-2^31, which stay float64.  U is even and V odd in v, as real
+    # weights are, so the mirror class still reads SUM V negated
+    ctx = HeightContext(-31, 7, 5, 2, 1)
+    a = ctx.group.forms[1][0]
+    rig = {19: ((1 << 31) - 1, 1 - (1 << 31)), 71: (1 << 31, -(1 << 31))}
+
+    def rigged(u, v, U, V):
+        q = (u * u + ctx.aD * v * v) // (4 * a)
+        for j, (tu, tv) in rig.items():
+            hi = u > 0
+            U = np.where(q == j, np.where(hi, tu - tu // 2, tu // 2), U)
+            V = np.where(q == j, np.sign(u * v)
+                         * np.where(hi, tv - tv // 2, tv // 2), V)
+        return U, V
+
+    real = heights._weights
+    monkeypatch.setattr(heights, "_weights", lambda u, v, D, ell:
+                        rigged(u, v, *real(u, v, D, ell)))
+    monkeypatch.setitem(globals(), "_expand", lambda u, v, D, ell, e=_expand:
+                        tuple(map(int, rigged(u, v, *e(u, v, D, ell)))))
+    ctx.prefetch([(1, 60), (2, 61)])
+    bank = ctx._bank(1)
+    for rho, word in ((5, np.int32), (1, np.float64)):
+        _, su, sv = bank.arrays[rho]
+        assert [arr.dtype for arr in su + sv] == [word, word], rho
+    for ci in (1, 2):
+        sign = ctx._bank_of[ci][1]
+        for m, j in ((60, 19), (61, 71)):
+            want = _brute_series(ctx.group.forms[ci], ctx.D, ctx.ell, m,
+                                 ctx.aD, ctx.level)
+            K = m * ctx.aD // ctx.level
+            assert want[K - j // ctx.level] == (rig[j][0], sign * rig[j][1])
+            ns, sus, svs = _class_series(ctx, ci, m)
+            assert dict(zip(ns, zip(sus, svs))) == want, (ci, m)
+            assert all(bank.term(m, n, sign) == want.get(n, (0, 0))
+                       for n in range(K + 2)), (ci, m)
+
+
 def test_bank_split_switch_seen_through_mirror_class():
     # class 2 of D = -31 reads class 1's bank with SUM V negated; its own
     # later index turns on the split of that shared bank
@@ -425,8 +467,10 @@ def test_scan_scratch_is_bounded_by_the_block():
     # the operator cells of crosscheck (-7, 23, 11, 3, 2) at m = 33 reach
     # m p^4 = 483153: a dense bank of their norms takes 4.9 MiB, and a scan
     # that binned whole residues at once took 33 MiB of scratch on top of
-    # it.  Blocks of 2^16 points take fewer than 24 eight-byte words per
-    # point: 12 MiB
+    # it.  The scan holds the dense array of the residue it bins (4.5 MiB
+    # for the largest) and fewer than 24 eight-byte words per block point
+    # (0.75 MiB for blocks of 2^12 points), which is less than the bank it
+    # fills: blocks of 2^16 points took 4.7 MiB beside a 1.1 MiB bank
     ctx = HeightContext(-7, 23, 11, 3, 2)
     tracemalloc.start()
     try:
@@ -434,22 +478,28 @@ def test_scan_scratch_is_bounded_by_the_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the dense-equivalent bytes: two sums of 8-byte parts per position
-    dense = sum(16 * bk.nparts * ((top - rho) // ctx.level)
-                for bk in ctx._banks.values() for rho, top in bk.tops.items())
-    assert dense > 4 << 20
-    assert peak - _bank_bytes(ctx) < 12 << 20
+    # the dense bytes of a residue: two sums of 8-byte parts per position
+    dense = [16 * bk.nparts * ((top - rho) // ctx.level)
+             for bk in ctx._banks.values() for rho, top in bk.tops.items()]
+    assert sum(dense) > 4 << 20
+    block = 24 * 8 * heights._BLOCK_CELLS
+    assert block < _bank_bytes(ctx)
+    assert peak - _bank_bytes(ctx) < block + max(dense)
 
 
 def test_bc_report_banks_one_per_inverse_pair():
     # the prefetch of bc-check (-31, 7, 5, 2, 1) at mmax 30: classes 1 and 2
     # share one bank, and each bank keeps only its nonzero norms (dense
-    # arrays of every norm, one set per class, take 23.9 MiB)
+    # arrays of every norm, one set per class, take 23.9 MiB), in int32
+    # words: 12 bytes per norm, 2.3 MiB (float64 sums took 3.9 MiB)
     ctx = HeightContext(-31, 7, 5, 2, 1)
     ctx.prefetch([c for ci in range(ctx.h) for m in range(1, 31)
                   for c in heights._op_pairs(ctx, ci, m)])
     assert sorted(ctx._banks) == [0, 1]
-    assert _bank_bytes(ctx) < 8 << 20
+    norms = sum(pos.size for bk in ctx._banks.values()
+                for pos, _, _ in bk.arrays.values())
+    assert _bank_bytes(ctx) == 12 * norms
+    assert _bank_bytes(ctx) < 5 << 19
 
 
 # ---------------------------------------------------------------------------
