@@ -414,9 +414,8 @@ def test_bank_words_are_int32_only_where_exact(monkeypatch):
     rig = {19: ((1 << 31) - 1, 1 - (1 << 31)), 71: (1 << 31, -(1 << 31))}
 
     def rigged(u, v, U, V):
-        q = (u * u + ctx.aD * v * v) // (4 * a)
+        q, hi = (u * u + ctx.aD * v * v) // (4 * a), u > 0
         for j, (tu, tv) in rig.items():
-            hi = u > 0
             U = np.where(q == j, np.where(hi, tu - tu // 2, tu // 2), U)
             V = np.where(q == j, np.sign(u * v)
                          * np.where(hi, tv - tv // 2, tv // 2), V)
