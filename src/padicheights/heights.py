@@ -654,9 +654,8 @@ class HeightContext:
 
     # -- the B/C pair -----------------------------------------------------------
 
-    def _cb(self, class_index: int, m: int, variant: int):
-        """(C_m, B_m) for one class from the cached sums; variant 1 replaces
-        H by H + 1.
+    def _cb(self, class_index: int, m: int):
+        """(C_m, B_m) for one class from the cached sums.
 
         The terms r_chi sigma pol are summed exactly as su sigma pol and
         sv sigma pol, with r_chi = (su + sv shat) * the class theta
@@ -665,9 +664,9 @@ class HeightContext:
         and (having one genus signature) sigma."""
         _require_index(m)
         bank_key, sign = self._bank_of[class_index]
-        skey = (bank_key, m, variant)
+        skey = (bank_key, m)
         if skey not in self._sums:
-            self._sums[skey] = self._bc_sums(bank_key, m, variant)
+            self._sums[skey] = self._bc_sums(bank_key, m)
         prime, part = self._sums[skey]
         p, pW, shat = self.p, self.pW, self.shat * sign
         konst = self._class_theta_const(class_index) * self._hden_inv % pW
@@ -683,7 +682,7 @@ class HeightContext:
 
         return value((prime, part)), value((prime,))
 
-    def _bc_sums(self, class_index: int, m: int, variant: int):
+    def _bc_sums(self, class_index: int, m: int):
         """The pairs (sum su sigma pol, sum sv sigma pol) over the n prime to
         p and over p | n, as residues mod p^W, on the bank of class_index;
         a pair is None when it has no term."""
@@ -692,14 +691,8 @@ class HeightContext:
         N, p, pW = self.level, self.p, self.pW
         MD = m * self.aD
         # delta m^(r-k-1) H(t_n) |D|^(r-k-1) as a polynomial in w = MD - 2Nn,
-        # highest degree first.  Variant 1 ("h_plus_one") adds 1 to the
-        # evaluated weight factor m^(r-k-1) H(t_n).  The degree-homogeneous
-        # replacement H -> H+1 cancels identically in the operator identity
-        # (any weight that is a function of the ratio nN/(m|D|) telescopes),
-        # so the effective fault is the inhomogeneous one.
+        # highest degree first
         coefs = [g * MD ** (self.m_H - j) for j, g in enumerate(self._gam)]
-        if variant:
-            coefs[0] += self.delta * self.aD ** self.m_H
         coefs.reverse()
         # a constant pol (r - k = 1) multiplies the sums once, at the end
         scale = coefs.pop() if len(coefs) == 1 else 1
@@ -739,41 +732,37 @@ class HeightContext:
 
 def c_seq(ctx: HeightContext, class_index: int, m: int) -> PadicNumber:
     """m^(r-k-1) * sum r_chi(m|D| - nN) sigma(n) H(1 - 2nN/(m|D|)), n >= 1."""
-    return ctx._cb(class_index, m, 0)[0]
+    return ctx._cb(class_index, m)[0]
 
 
 def b_seq(ctx: HeightContext, class_index: int, m: int) -> PadicNumber:
     """The same sum restricted to n coprime to p."""
-    return ctx._cb(class_index, m, 0)[1]
+    return ctx._cb(class_index, m)[1]
 
 
 # ---------------------------------------------------------------------------
 # operators
 
-def uf_terms(ctx: HeightContext, mutate=None):
+def uf_terms(ctx: HeightContext):
     """The quartic shift operator expanded as a sorted list of
     (coefficient, index power, class shift): the product over the two primes
     above p of (U - p^(r-k-1} chi(conjugate prime) S_prime)^2, where U scales
     the index by p and S shifts the class."""
     p = ctx.p
     cf = p ** (ctx.r - ctx.k - 1)
-    chiP, chiPb = ctx.chiP, ctx.chiPb
-    if mutate == "chi_perturb":
-        chiPb = chiPb * (1 + p)
-    eP = 1 if mutate == "drop_euler_square" else 2
     one = PadicNumber(p, 0, 1, ctx.W)
 
-    def factor_terms(exp, coeff_val, shift_gen):
+    def factor_terms(coeff_val, shift_gen):
         out = []
-        for i in range(exp + 1):
-            c = one * (comb(exp, i) * (-cf) ** i)
+        for i in range(3):
+            c = one * (comb(2, i) * (-cf) ** i)
             if i:
                 c = c * coeff_val ** i
-            out.append((c, exp - i, ctx.group.pow(shift_gen, i)))
+            out.append((c, 2 - i, ctx.group.pow(shift_gen, i)))
         return out
 
-    termsP = factor_terms(eP, chiPb, ctx.cP)
-    termsPb = factor_terms(2, chiP, ctx.cPb)
+    termsP = factor_terms(ctx.chiPb, ctx.cP)
+    termsPb = factor_terms(ctx.chiP, ctx.cPb)
     combined = {}
     for c1, u1, s1 in termsP:
         for c2, u2, s2 in termsPb:
@@ -784,65 +773,56 @@ def uf_terms(ctx: HeightContext, mutate=None):
                                                   key=lambda kv: kv[0])]
 
 
-def apply_UF(ctx: HeightContext, seq, class_index: int, m: int, mutate=None):
+def apply_UF(ctx: HeightContext, seq, class_index: int, m: int):
     """Evaluate the expanded operator on a sequence accessor seq(class, m)."""
     acc = None
-    for coef, du, shift in uf_terms(ctx, mutate):
+    for coef, du, shift in uf_terms(ctx):
         v = seq(ctx.group.mult(class_index, shift), m * ctx.p ** du)
         t = v * coef
         acc = t if acc is None else acc + t
     return acc
 
 
-def _op_pairs(ctx, class_index, m, mutate=None):
+def _op_pairs(ctx, class_index, m):
     pairs = [(ctx.group.mult(class_index, sh), m * ctx.p ** du)
-             for _, du, sh in uf_terms(ctx, mutate)]
+             for _, du, sh in uf_terms(ctx)]
     pairs += [(class_index, m * ctx.p ** 2), (class_index, m * ctx.p ** 4)]
     return pairs
 
 
-def _bc_sides(ctx: HeightContext, class_index: int, m: int, mutate=None):
+def _bc_sides(ctx: HeightContext, class_index: int, m: int):
     """(operator applied to C, (U^4 - p^(2r-2) U^2) applied to B) at
-    (class, m), with the faults of bc_residual."""
-    variant = 1 if mutate == "h_plus_one" else 0
-    opmut = mutate if mutate in ("chi_perturb", "drop_euler_square") else None
-    ctx.prefetch(_op_pairs(ctx, class_index, m, opmut))
-    lhs = apply_UF(ctx, lambda s, mm: ctx._cb(s, mm, variant)[0],
-                   class_index, m, opmut)
+    (class, m)."""
+    ctx.prefetch(_op_pairs(ctx, class_index, m))
+    lhs = apply_UF(ctx, lambda s, mm: ctx._cb(s, mm)[0], class_index, m)
     p2 = ctx.p ** (2 * ctx.r - 2)
-    rhs = ctx._cb(class_index, m * ctx.p ** 4, variant)[1] \
-        - ctx._cb(class_index, m * ctx.p ** 2, variant)[1] * p2
+    rhs = ctx._cb(class_index, m * ctx.p ** 4)[1] \
+        - ctx._cb(class_index, m * ctx.p ** 2)[1] * p2
     return lhs, rhs
 
 
-def bc_residual(ctx: HeightContext, class_index: int, m: int,
-                mutate=None) -> int:
+def bc_residual(ctx: HeightContext, class_index: int, m: int) -> int:
     """Certified valuation of (operator applied to C) minus
-    (U^4 - p^(2r-2) U^2 applied to B), capped at the target precision.
-
-    mutate in {None, "h_plus_one", "chi_perturb", "drop_euler_square"}
-    injects a deliberate fault for verification of the verifier.
-    """
-    lhs, rhs = _bc_sides(ctx, class_index, m, mutate)
+    (U^4 - p^(2r-2) U^2 applied to B), capped at the target precision."""
+    lhs, rhs = _bc_sides(ctx, class_index, m)
     return min((lhs - rhs).valuation(), ctx.n_prec)
 
 
-def bc_report(ctx: HeightContext, m_max: int, mutate=None) -> dict:
+def bc_report(ctx: HeightContext, m_max: int) -> dict:
     """Residuals of the B/C operator identity over all classes and
     1 <= m <= m_max, as a JSON-ready verification report."""
     cells = [(ci, m) for ci in range(ctx.h) for m in range(1, m_max + 1)]
-    opmut = mutate if mutate in ("chi_perturb", "drop_euler_square") else None
     pre = []
     for ci, m in cells:
-        pre.extend(_op_pairs(ctx, ci, m, opmut))
+        pre.extend(_op_pairs(ctx, ci, m))
     ctx.prefetch(pre)
     threshold = ctx.n_prec - ctx.slack
-    residuals = [bc_residual(ctx, ci, m, mutate) for ci, m in cells]
+    residuals = [bc_residual(ctx, ci, m) for ci, m in cells]
     results = [{"class": ci, "m": m, "residual": res, "pass": res >= threshold}
                for (ci, m), res in zip(cells, residuals)]
     return {"identity": "bc-operator",
             "context": ctx.to_json(),
-            "mutation": mutate,
+            "mutation": None,
             "threshold": threshold,
             "slack": ctx.ledger.to_json(),
             "results": results,

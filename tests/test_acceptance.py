@@ -28,6 +28,7 @@ from padicheights.polykit import (coeff_identity_check, h_poly, jacobi_poly,
 from padicheights.quadfield import (QuadFieldError, admissible_params,
                                     class_group, class_number, ideal_of_form,
                                     validate_discriminant)
+from test_faults import OPERATOR_FAULTS
 
 
 def report(num, label, ok, elapsed, budget, detail=""):
@@ -227,7 +228,7 @@ def test_criterion_06_genus_and_shift_relations():
            "D=-7,-15,-23 at ell=2, indices to 200, exact equality")
 
 
-def test_criterion_07_operator_identity_sweep():
+def test_criterion_07_operator_identity_sweep(monkeypatch):
     t0 = time.monotonic()
     ok = True
     worst = 99
@@ -248,15 +249,19 @@ def test_criterion_07_operator_identity_sweep():
     ok = ok and rep3["pass"] and len(rep3["results"]) == 6
     worst = min(worst, min(row["residual"] for row in rep3["results"]))
     del ctx3, rep3
-    # every implanted fault must break at least one residual
-    ctx_mut = HeightContext(-7, 23, 11, 3, 1, n_prec=30)
-    for fault in ("h_plus_one", "chi_perturb", "drop_euler_square"):
-        broken = bc_report(ctx_mut, 1, mutate=fault)
-        ok = ok and not broken["pass"]
+    # every operator fault, implanted on a fresh context, must break at least
+    # one residual
+    caught = 0
+    for implant in OPERATOR_FAULTS.values():
+        with monkeypatch.context() as mp:
+            ctx_mut = HeightContext(-7, 23, 11, 3, 1, n_prec=30)
+            implant(mp, ctx_mut)
+            caught += not bc_report(ctx_mut, 1)["pass"]
+    ok = ok and caught == len(OPERATOR_FAULTS)
     report(7, "operator identity residual sweep", ok,
            time.monotonic() - t0, 600.0,
            f"min residual {worst}/30; h=3 field swept to m=2; "
-           "3/3 faults detected")
+           f"{caught}/{len(OPERATOR_FAULTS)} faults detected")
 
 
 def test_criterion_08_height_fourier_crosscheck():
