@@ -7,6 +7,7 @@ of alpha_i^ell, where g_i^{d_i} = (alpha_i).  Values come in three modes:
 
   exact    elements of K itself (class number 1 only: no roots needed)
   complex  mpmath complex numbers at a fixed decimal working precision
+           (the only mode that imports mpmath)
   padic    elements of Z_p, or of its unramified quadratic extension when
            the required root does not exist in the ground ring
 
@@ -22,8 +23,6 @@ numbers (times the number of units).
 import contextlib
 from fractions import Fraction
 from math import isqrt
-
-import mpmath
 
 from .padic import (PadicError, PadicNumber, lift_pair_root, nth_root_zp,
                     pair_pow)
@@ -229,6 +228,7 @@ class HeckeChar:
 
     def _ctx(self):
         if self.mode == "complex":
+            import mpmath
             return mpmath.workdps(self.prec)
         return contextlib.nullcontext()
 
@@ -238,6 +238,7 @@ class HeckeChar:
         if self.mode == "exact":
             return KElem(self.D, 1, 0)
         if self.mode == "complex":
+            import mpmath
             with self._ctx():
                 return mpmath.mpc(1)
         v = PadicNumber(self.p, 0, 1, self.prec)
@@ -247,6 +248,7 @@ class HeckeChar:
         if self.mode == "exact":
             return KElem(self.D, 0, 0)
         if self.mode == "complex":
+            import mpmath
             with self._ctx():
                 return mpmath.mpc(0)
         v = PadicNumber.zero(self.p)
@@ -257,6 +259,7 @@ class HeckeChar:
         if self.mode == "exact":
             return g
         if self.mode == "complex":
+            import mpmath
             with self._ctx():
                 sq = mpmath.sqrt(mpmath.mpf(-self.D))
                 x = mpmath.mpf(g.x.numerator) / g.x.denominator
@@ -270,6 +273,7 @@ class HeckeChar:
         """Mode-appropriate equality: exact/padic compare directly, complex
         within 10^(5 - prec) relative to max(1, scale, |u|, |v|)."""
         if self.mode == "complex":
+            import mpmath
             with self._ctx():
                 scale = Fraction(scale)
                 tol = mpmath.mpf(10) ** (5 - self.prec)
@@ -361,6 +365,7 @@ def build_char(D, ell, mode, p=None, prec=None, twist=None):
         entry = {"class": gi, "order": di, "norm": ng,
                  "alpha": [str(alpha.x), str(alpha.y)], "twist": t_i}
         if mode == "complex":
+            import mpmath
             with mpmath.workdps(prec):
                 sq = mpmath.sqrt(mpmath.mpf(-D))
                 target = mpmath.mpc(

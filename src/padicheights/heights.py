@@ -35,6 +35,10 @@ Per residue the bank keeps one int32 position plus one word per part for
 each nonzero norm below the largest requested norm (see _ThetaBank), per
 inverse pair, with no memory cap: an int32 word where every sum of that part
 lies strictly inside +-2^31, a float64 word otherwise.
+The divisor sums sigma(n) n^d mod p^W are kept once per genus signature as
+rows of 16-bit limbs (see _SigmaStore), and the B/C sums are exact integer
+sums of limb products, taken one chunk at a time as float64 matrix
+products (see _bc_sums and _require_sum_bounds).
 """
 
 from __future__ import annotations
@@ -64,11 +68,28 @@ _MASK26 = (1 << 26) - 1
 _COUNT_BOUND = 1 << 12
 _QMAX_LIMIT = 10 ** 9
 # points per scan block and positions per series chunk: the scratch memory
-# of a scan (a few dozen int64 arrays of this length) and of a sum (python
-# lists of this length) is bounded by it, not by the bank's size.  The
-# bcsweep-h3 benchmark peaks at 48 MiB of RSS with 2^12 and at 55 MiB with
-# 2^16, at the same speed (BENCH_15.json)
+# of a scan (a few dozen int64 arrays of this length) and of a sum (a few
+# dozen float64 rows of this length) is bounded by it, not by the bank's
+# size.  The bcsweep-h3 benchmark peaks at 48 MiB of RSS with 2^12 and at
+# 55 MiB with 2^16, at the same speed (BENCH_15.json)
 _BLOCK_CELLS = 1 << 12
+
+
+def _require_sum_bounds(K: int):
+    """The exactness hypotheses of the limb sums of _bc_sums.  Each term is
+    a 16-bit limb of a bank part (see _limbs) times a 16-bit limb of the
+    sigma store, below 2^32 in size.  A chunk's float64 matrix product adds at
+    most _BLOCK_CELLS terms, so its sums are integers below
+    _BLOCK_CELLS * 2^32 < 2^53 in every order of addition; the int64
+    accumulator adds the terms of at most K positions, below
+    K * 2^32 < 2^63, which holds since K < _QMAX_LIMIT < 2^30."""
+    if _BLOCK_CELLS << 32 >= 1 << 53:
+        raise HeightError(f"hypothesis _BLOCK_CELLS * 2^32 < 2^53 of the "
+                          f"float64 limb sums fails: _BLOCK_CELLS = "
+                          f"{_BLOCK_CELLS}")
+    if K << 32 >= 1 << 63:
+        raise HeightError(f"hypothesis K * 2^32 < 2^63 of the int64 limb "
+                          f"sums fails: K = {K}")
 
 
 class HeightError(ValueError):
@@ -254,10 +275,12 @@ class _ThetaBank:
             self._scan(tops)
 
     def series(self, m: int, sign: int = 1):
-        """Yield (ns, sus, svs) python lists, one chunk of at most
-        _BLOCK_CELLS consecutive n at a time, in increasing n: the n with a
-        nonzero lattice sum for index m, with exact integer SUM U and
-        sign * SUM V values.  Chunks with no such n are skipped."""
+        """Yield (ns, sus, svs), one chunk of at most _BLOCK_CELLS
+        consecutive n at a time, in increasing n: ns is the int64 array of
+        the n with a nonzero lattice sum for index m, and sus, svs the int64
+        parts of SUM U and of sign * SUM V at those n (the sum is
+        sum_i part_i 2^(26 i), see _exact; every part lies strictly inside
+        +-2^53).  Chunks with no such n are skipped."""
         rho, K = self._position(m)
         pos, su, sv = self.arrays[rho]
         # chunk j holds n in (jB, (j+1)B] (B = _BLOCK_CELLS), at positions
@@ -267,9 +290,9 @@ class _ThetaBank:
             np.arange(0, K + _BLOCK_CELLS, _BLOCK_CELLS), K)).tolist()
         for hi, lo in zip(cuts, cuts[1:]):
             if lo < hi:
-                yield ((K - pos[lo:hi][::-1]).tolist(),
-                       self._exact([a[lo:hi][::-1] for a in su], 1),
-                       self._exact([a[lo:hi][::-1] for a in sv], sign))
+                yield (K - pos[lo:hi][::-1].astype(np.int64),
+                       self._parts(su, lo, hi, 1),
+                       self._parts(sv, lo, hi, sign))
 
     def term(self, m: int, n: int, sign: int = 1):
         """The exact (SUM U, sign * SUM V) of index m at n (zeros off its
@@ -279,7 +302,7 @@ class _ThetaBank:
         i = int(np.searchsorted(pos, K - n))
         if not 1 <= n <= K or i == pos.size or pos[i] != K - n:
             return 0, 0
-        (u,), (v,) = (self._exact([a[i:i + 1] for a in parts], sg)
+        (u,), (v,) = (self._exact(self._parts(parts, i, i + 1, sg))
                       for parts, sg in ((su, 1), (sv, sign)))
         return u, v
 
@@ -292,13 +315,19 @@ class _ThetaBank:
             raise HeightError("theta bank not prepared for this index")
         return rho, (MD - rho) // N
 
-    def _exact(self, parts, sign: int):
-        """The python ints of one sum's parts, times sign."""
-        # the int32 and float64 parts are exact integers by construction;
-        # each is negated in int64, where no part can wrap, and a part
-        # shifted back up can pass 2^63, so they are added in python ints
-        ints = [(-x if sign < 0 else x).tolist()
-                for x in (a.astype(np.int64) for a in parts)]
+    @staticmethod
+    def _parts(parts, lo: int, hi: int, sign: int):
+        """Positions hi - 1 down to lo of one sum's parts, times sign."""
+        # the int32 and float64 words are exact integers; each part is
+        # negated in int64, where none can wrap
+        return tuple(sign * a[lo:hi][::-1].astype(np.int64) for a in parts)
+
+    @staticmethod
+    def _exact(parts):
+        """The python ints sum_i part_i 2^(26 i) of one sum's int64 parts."""
+        # a part shifted back up can pass 2^63, so they are added in python
+        # ints
+        ints = [a.tolist() for a in parts]
         out = ints.pop()
         while ints:
             out = [x + (y << 26) for x, y in zip(ints.pop(), out)]
@@ -409,9 +438,68 @@ class _ThetaBank:
             np.add.at(arrs[-1], idx, w.astype(np.float64))
 
 
+class _SigmaStore:
+    """The values sigma(n) n^d mod p^W, d = 0 .. degs - 1, of one genus
+    signature, as rows of 16-bit limbs.
+
+    index[n] is the row of n, or -1 while n is not computed.  A row holds
+    the values for d = 0, 1, ... in turn, each as `limbs` limbs, least
+    significant first.  Rows are appended a batch at a time, in the order
+    the sums first read them."""
+
+    def __init__(self, degs: int, limbs: int):
+        self.degs, self.limbs = degs, limbs
+        self.index = np.full(1, -1, dtype=np.int32)
+        self.rows = np.zeros((0, degs * limbs), dtype=np.uint16)
+        self.size = 0
+
+    def grow(self, limit: int):
+        """Extend the index over 0 <= n <= limit."""
+        if self.index.size > limit:
+            return
+        index = np.full(limit + 1, -1, dtype=np.int32)
+        index[:self.index.size] = self.index
+        self.index = index
+
+    def gather(self, ns, fill):
+        """The rows of the distinct n of the int64 array ns; the missing
+        rows are first appended from fill(list of n)."""
+        at = self.index[ns]
+        new = ns[at < 0]
+        if new.size:
+            end = self.size + new.size
+            if end > len(self.rows):
+                rows = np.empty((max(end, 2 * len(self.rows)),
+                                 self.rows.shape[1]), dtype=np.uint16)
+                rows[:self.size] = self.rows[:self.size]
+                self.rows = rows
+            self.rows[self.size:end] = fill(new.tolist())
+            self.index[new] = np.arange(self.size, end, dtype=np.int32)
+            self.size = end
+            at = self.index[ns]
+        return self.rows[at]
+
+
+def _limbs(parts):
+    """(keys, A): the 16-bit limbs of int64 arrays below 2^53 in size, as
+    the float64 rows of A.  Row key 4 i + j holds limb j of parts[i]: the
+    low limbs in [0, 2^16), the top one signed, in [-2^15, 2^15), and as
+    many as the largest value needs (at most four)."""
+    x = np.stack(parts)
+    top = (max(int(x.max()), ~int(x.min())).bit_length() + 16) // 16 - 1
+    limbs = [x >> 16 * j & 0xFFFF for j in range(top)] + [x >> 16 * top]
+    keys = [4 * i + j for j in range(top + 1) for i in range(len(parts))]
+    return keys, np.concatenate(limbs).astype(np.float64)
+
+
 class HeightContext:
     """Validated parameter set (D, N, p, r, k) with its theta character,
-    working-precision data, lattice banks and divisor-sum caches."""
+    working-precision data, lattice banks and sigma stores.
+
+    The sigma store of a genus signature (see _SigmaStore) holds
+    sigma(n) n^d mod p^W for d < r - k, the degrees of the B/C weight
+    polynomial in n; that layout is fixed here, whatever the sums later
+    read."""
 
     def __init__(self, D: int, level: int, p: int, r: int, k: int,
                  n_prec: int = 30, twist=None):
@@ -484,7 +572,7 @@ class HeightContext:
         self._sums = {}
         self._spf = None
         self._plog = {}
-        self._sigma_cache = {}
+        self._sigma_store = {}
         self._class_const = {}
         self._build_splits()
 
@@ -548,10 +636,30 @@ class HeightContext:
                 e += 1
             yield q, e
 
-    def _sigma_dict(self, class_index: int) -> dict:
-        """The sigma cache n -> sigma_res(class_index, n), shared by the
-        classes of one genus signature."""
-        return self._sigma_cache.setdefault(self._class_sig[class_index], {})
+    def _store(self, class_index: int) -> _SigmaStore:
+        """The sigma store shared by the classes of the genus signature of
+        class_index."""
+        sig = self._class_sig[class_index]
+        store = self._sigma_store.get(sig)
+        if store is None:
+            store = _SigmaStore(self.r - self.k,
+                                (self.pW.bit_length() + 15) // 16)
+            self._sigma_store[sig] = store
+        return store
+
+    def _sigma_rows(self, class_index: int, ns):
+        """The store rows of the n in the list ns: sigma(n) n^d mod p^W for
+        each degree d of the store, as 16-bit limbs."""
+        pW, store = self.pW, self._store(class_index)
+        width = 2 * store.limbs
+        out = bytearray()
+        for n in ns:
+            v = self.sigma_res(class_index, n)
+            out += v.to_bytes(width, "little")
+            for _ in range(1, store.degs):
+                v = v * n % pW
+                out += v.to_bytes(width, "little")
+        return np.frombuffer(out, dtype="<u2").reshape(len(ns), -1)
 
     def sigma_res(self, class_index: int, n: int) -> int:
         """Residue mod p^W of sigma(n) = sum_{d | n} eps(d, n/d) log_p(n/d^2).
@@ -570,11 +678,10 @@ class HeightContext:
         inert to odd powers, -(e0 + 1) log q0 if one q0^e0 is, and else
         sum_{q | D1} e log q - sum_{q | g} e log q.  p splits, so log_p(p)
         is never needed.  padic.sigma_A is the oracle.
+
+        Nothing is cached here: the B/C sums read sigma from the sigma
+        store of the genus signature, which calls this once per n.
         """
-        cache = self._sigma_dict(class_index)
-        v = cache.get(n)
-        if v is not None:
-            return v
         self._ensure_spf(n)
         aD, chiD = self.aD, self._chiD
         tau = 1
@@ -587,7 +694,6 @@ class HeightContext:
                 tau *= e + 1
             elif e % 2:
                 if inert is not None:
-                    cache[n] = 0
                     return 0
                 inert = (q, e)
         if inert is not None:
@@ -603,9 +709,7 @@ class HeightContext:
                 lam = sum((-e if g % q == 0 else e) * self._prime_log(q)
                           for q, e in ram)
             acc += sgn * cs * chi1[n // n1 % len(chi1)] * chi2[n1 % g] * lam
-        v = tau * acc % self.pW
-        cache[n] = v
-        return v
+        return tau * acc % self.pW
 
     # -- theta bank ------------------------------------------------------------
 
@@ -685,46 +789,57 @@ class HeightContext:
     def _bc_sums(self, class_index: int, m: int):
         """The pairs (sum su sigma pol, sum sv sigma pol) over the n prime to
         p and over p | n, as residues mod p^W, on the bank of class_index;
-        a pair is None when it has no term."""
-        bank = self._bank(class_index)
-        bank.ensure([m])
+        a pair is None when it has no term (no n of its part whose sigma is
+        nonzero mod p^W).
+
+        pol = delta m^(r-k-1) H(t_n) |D|^(r-k-1) is a polynomial
+        sum_d c_d n^d, so a sum is sum_d c_d sum_n su (sigma(n) n^d mod p^W),
+        and each inner sum is exact: su is cut into 16-bit limbs, the top
+        one signed (_limbs), the store holds 16-bit limbs, and the limb
+        products of a chunk are summed by two float64 matrix products, over
+        all n and over p | n, then added up in int64 (see
+        _require_sum_bounds)."""
         N, p, pW = self.level, self.p, self.pW
         MD = m * self.aD
-        # delta m^(r-k-1) H(t_n) |D|^(r-k-1) as a polynomial in w = MD - 2Nn,
-        # highest degree first
-        coefs = [g * MD ** (self.m_H - j) for j, g in enumerate(self._gam)]
-        coefs.reverse()
-        # a constant pol (r - k = 1) multiplies the sums once, at the end
-        scale = coefs.pop() if len(coefs) == 1 else 1
-        cache = self._sigma_dict(class_index)
-        sres = self.sigma_res
-        u0 = v0 = up = vp = 0       # sums over n prime to p, and over p | n
-        has0 = hasp = False         # whether each has a term
+        _require_sum_bounds(MD // N)
+        bank = self._bank(class_index)
+        bank.ensure([m])
+        store = self._store(class_index)
+        L = store.limbs
+        # acc[0] over all n, acc[1] over p | n; row 4 q + j holds limb j of
+        # part q of (su parts, sv parts), column d L + l limb l of degree d
+        acc = np.zeros((2, 8 * bank.nparts, store.degs * L), dtype=np.int64)
+        has0 = hasp = False         # whether each part has a term
         for ns, sus, svs in bank.series(m):
-            # one sieve for the whole index, built only when a term exists
+            # one sieve and one store index for the whole index, built only
+            # when a term exists
             self._ensure_spf((MD - 1) // N)
-            for n, su, sv in zip(ns, sus, svs):
-                sg = cache.get(n)
-                if sg is None:
-                    sg = sres(class_index, n)
-                if not sg:
-                    continue
-                if coefs:
-                    w = MD - 2 * N * n
-                    pol = 0
-                    for cf in coefs:
-                        pol = pol * w + cf
-                    sg *= pol
-                if n % p:
-                    u0 += su * sg
-                    v0 += sv * sg
-                    has0 = True
-                else:
-                    up += su * sg
-                    vp += sv * sg
-                    hasp = True
-        return ((u0 * scale % pW, v0 * scale % pW) if has0 else None,
-                (up * scale % pW, vp * scale % pW) if hasp else None)
+            store.grow((MD - 1) // N)
+            rows = store.gather(ns, lambda new: self._sigma_rows(
+                class_index, new))
+            live = rows[:, :L].any(axis=1)          # sigma(n) != 0 mod p^W
+            at_p = ns % p == 0
+            has0 = has0 or bool((live & ~at_p).any())
+            hasp = hasp or bool((live & at_p).any())
+            keys, A = _limbs(sus + svs)
+            R = rows.astype(np.float64)
+            acc[0, keys] += (A @ R).astype(np.int64)
+            if at_p.any():
+                acc[1, keys] += (A[:, at_p] @ R[at_p]).astype(np.int64)
+        if not (has0 or hasp):
+            return None, None
+        # pol = sum_j gam_j MD^(m_H-j) w^j with w = MD - 2Nn, in powers of n
+        coefs = [(-2 * N) ** d * MD ** (self.m_H - d)
+                 * sum(comb(j, d) * g for j, g in enumerate(self._gam)) % pW
+                 for d in range(len(self._gam))]
+        cols = np.array([c << 16 * l for c in coefs for l in range(L)],
+                        dtype=object)
+        place = np.array([1 << 26 * i + 16 * j for i in range(bank.nparts)
+                          for j in range(4)], dtype=object)
+        ((u, v), (up, vp)) = ((acc[:, :, :cols.size].astype(object) @ cols)
+                              .reshape(2, 2, -1) @ place).tolist()
+        return (((u - up) % pW, (v - vp) % pW) if has0 else None,
+                (up % pW, vp % pW) if hasp else None)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,6 @@ and a Laplace-integral oracle evaluated by termwise Gamma integrals.
 from fractions import Fraction
 from math import comb, factorial
 
-import mpmath
-
 # factorial growth guard; far beyond any supported computation
 MAX_RODRIGUES_ORDER = 64
 
@@ -231,6 +229,7 @@ def laplace_integral_oracle(m: int, k: int, i: int, j: int, dps: int = 40):
     for a in range(m + 1):
         rat += (pm.coeff(a) * Fraction(j) ** a
                 * factorial(a + m + 2 * k) / Fraction(i + j) ** (a + m + 2 * k + 1))
+    import mpmath
     with mpmath.workdps(dps):
         scale = (4 * mpmath.pi) ** -(m + 2 * k + 1)
         return mpmath.mpf(rat.numerator) / rat.denominator * scale

@@ -435,6 +435,25 @@ def test_runs_without_sympy():
     assert not free["sympy"]        # nothing imports it when it is there
 
 
+_RUN_ONE = """
+import contextlib, io, json, sys
+from padicheights import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(json.loads(sys.argv[1]))
+print(json.dumps([code, "mpmath" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv", NO_SYMPY_COMMANDS[:2],
+                         ids=lambda argv: argv[0])
+def test_padic_reports_never_import_mpmath(argv):
+    # mpmath serves only the complex mode and the float integral oracle
+    proc = subprocess.run([sys.executable, "-c", _RUN_ONE, json.dumps(argv)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, False]
+
+
 # ---------------------------------------------------------------------------
 # fuzz: small random contexts end in a report or a named rejection
 

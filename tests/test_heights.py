@@ -154,10 +154,11 @@ def _series(bank, m, sign=1):
     """bank.series(m, sign) with its chunks concatenated; each chunk must be
     non-empty and the n strictly increasing."""
     ns, sus, svs = [], [], []
-    for chunk in bank.series(m, sign):
-        assert chunk[0]
-        for acc, part in zip((ns, sus, svs), chunk):
-            acc.extend(part)
+    for chunk_ns, chunk_su, chunk_sv in bank.series(m, sign):
+        assert chunk_ns.size
+        ns.extend(chunk_ns.tolist())
+        sus.extend(bank._exact(chunk_su))
+        svs.extend(bank._exact(chunk_sv))
     assert all(a < b for a, b in zip(ns, ns[1:]))
     return ns, sus, svs
 
@@ -443,6 +444,13 @@ def test_bank_words_are_int32_only_where_exact(monkeypatch):
             assert dict(zip(ns, zip(sus, svs))) == want, (ci, m)
             assert all(bank.term(m, n, sign) == want.get(n, (0, 0))
                        for n in range(K + 2)), (ci, m)
+            # the B/C sum cuts the extreme words into 16-bit limbs: the
+            # rigged n (263 prime to p, 260 = 0 mod p) carry nonzero sigma
+            n = K - j // ctx.level
+            assert ctx.sigma_res(ci, n) and (n % ctx.p == 0) == (m == 61)
+            cv, bv = ctx._cb(ci, m)
+            assert (cv.residue(ctx.W), bv.residue(ctx.W)) == \
+                _termwise_cb(ctx, ci, m), (ci, m)
 
 
 def test_bank_split_switch_seen_through_mirror_class():
@@ -648,11 +656,63 @@ def test_series_chunks_cut_anywhere(monkeypatch, args, m, split):
     want = _brute_series(ctx.group.forms[0], ctx.D, ctx.ell, m, ctx.aD,
                          ctx.level)
     assert dict(zip(ns, zip(sus, svs))) == want
-    for mm in (7, 7 * ctx.p ** 2):
+    # m itself reads the high 26-bit parts of the split bins
+    for mm in (7, 7 * ctx.p ** 2, m):
         ctx.prefetch([(0, mm)])
         cv, bv = ctx._cb(0, mm)
         assert (cv.residue(ctx.W), bv.residue(ctx.W)) == \
             _termwise_cb(ctx, 0, mm)
+
+
+def test_sigma_store_rows_are_sigma_times_powers_of_n():
+    # m_H = 1: each row holds sigma(n) and sigma(n) n, in 16-bit limbs
+    ctx = HeightContext(-7, 23, 11, 3, 1, n_prec=30)
+    assert ctx.m_H == 1
+    for m in (77, 847):
+        ctx.prefetch([(0, m)])
+        ctx._cb(0, m)
+    store = ctx._store(0)
+    assert (store.degs, store.limbs) == (2, -(-ctx.pW.bit_length() // 16))
+    ns = np.flatnonzero(store.index >= 0)
+    assert ns.size == store.size > 50
+    for n, row in zip(ns.tolist(), store.rows[store.index[ns]].tolist()):
+        got = [sum(x << 16 * l for l, x in enumerate(row[i:i + store.limbs]))
+               for i in range(0, len(row), store.limbs)]
+        sg = ctx.sigma_res(0, n)
+        assert got == [sg, sg * n % ctx.pW], n
+
+
+@pytest.mark.parametrize("top", [0, 1 << 15, 1 << 31, (1 << 53) - 1])
+def test_limbs_rebuild_every_word(top):
+    # the limbs of a part rebuild it, the low ones in [0, 2^16), the top one
+    # in [-2^15, 2^15), so each product with a store limb is below 2^32
+    rng = random.Random(top)
+    parts = [np.array([top, -top, -top - 1 if top else 0, -1, 1, 0]
+                      + [rng.randint(-top, top) for _ in range(20)])
+             for _ in range(3)]
+    keys, A = heights._limbs(parts)
+    assert len(keys) == 3 * -(-(top.bit_length() + 1) // 16)
+    assert np.all(np.abs(A) < 1 << 16) and np.all(A >= -(1 << 15))
+    rebuilt = [[0] * parts[0].size for _ in parts]
+    for key, row in zip(keys, A.astype(np.int64).tolist()):
+        i, j = divmod(key, 4)
+        rebuilt[i] = [x + (y << 16 * j) for x, y in zip(rebuilt[i], row)]
+    assert rebuilt == [a.tolist() for a in parts]
+
+
+def test_sum_exactness_bounds_are_guarded(monkeypatch):
+    # 2^22 cells of products below 2^32 can sum past 2^53 in float64
+    ctx = HeightContext(-7, 23, 11, 2, 1, n_prec=30)
+    monkeypatch.setattr(heights, "_BLOCK_CELLS", 1 << 22)
+    with pytest.raises(HeightError,
+                       match=r"_BLOCK_CELLS \* 2\^32 < 2\^53 .* fails"):
+        ctx._cb(0, 33)
+    assert not ctx._sums
+    monkeypatch.undo()
+    # the int64 accumulator holds K * 2^32 for every K below _QMAX_LIMIT
+    heights._require_sum_bounds(heights._QMAX_LIMIT)
+    with pytest.raises(HeightError, match=r"K \* 2\^32 < 2\^63 .* fails"):
+        heights._require_sum_bounds(1 << 31)
 
 
 def test_c_seq_empty_sum_is_zero(ctx21):
