@@ -15,16 +15,15 @@ coefficient sum, and the end-to-end height/Fourier residual.
 
 Everything runs in plain integer arithmetic mod p^W with W = n_prec + 10
 guard digits; theta coefficients come from a vectorized lattice enumeration
-whose per-norm sums are exact in any order of addition: every weight is an
-integer, and every partial sum of the float64 accumulators is bounded by
-_COUNT_BOUND times the largest weight, below 2^53 (weights are split into
-26-bit parts when single words could pass it, and computed in python ints
-when they could pass 2^62).  The scan bins one block of _BLOCK_CELLS = 2^12
-points at a time into a dense array of the residue it scans, and
-the series are read out in chunks of as many n, so the scratch memory of a
-scan is fewer than 24 8-byte words per block cell (0.75 MiB) beside one
-residue's dense array, and that of a sum is bounded by the block, whatever
-the bank's size.
+whose per-norm sums are int64 sums that cannot overflow: every partial sum
+of a bin is bounded by _COUNT_BOUND times the largest weight, below 2^63
+(weights are split into 26-bit parts when single words could pass it, and
+computed in python ints when they could pass 2^62).  The scan bins one
+block of _BLOCK_CELLS = 2^12 points at a time into a dense array of the
+residue it scans, and the series are read out in chunks of as many n, so
+the scratch memory of a scan is fewer than 24 8-byte words per block cell
+(0.75 MiB) beside one residue's dense array, and that of a sum is bounded
+by the block, whatever the bank's size.
 Index m only reads norms in the residue class of m|D| mod N, and the scan
 visits only those points: the cosets of N Z^2 on which the form takes a
 requested residue (see _Cosets), each inside that residue's own ellipse.
@@ -34,7 +33,7 @@ reads the bank of c with SUM V negated, and their B/C sums come from one pass.
 Per residue the bank keeps one int32 position plus one word per part for
 each nonzero norm below the largest requested norm (see _ThetaBank), per
 inverse pair, with no memory cap: an int32 word where every sum of that part
-lies strictly inside +-2^31, a float64 word otherwise.
+lies strictly inside +-2^31, an int64 word otherwise.
 The divisor sums sigma(n) n^d mod p^W are kept once per genus signature as
 rows of 16-bit limbs (see _SigmaStore), and the B/C sums are exact integer
 sums of limb products, taken one chunk at a time as float64 matrix
@@ -63,8 +62,7 @@ _MASK26 = (1 << 26) - 1
 # (2 * sum over divisors of |kronecker| <= 2 * d(n), and d(n) < 2^11 for
 # n < 10^9, which _ThetaBank._scan enforces through _QMAX_LIMIT).  A bin's
 # partial sums add integer weights of that norm's points in some order, so
-# each one is an integer of size < _COUNT_BOUND * max|w| < 2^53: exact in
-# float64 whatever the order, hence exact when np.add.at accumulates
+# each one is of size < _COUNT_BOUND * max|w| < 2^63: no int64 bin overflows
 _COUNT_BOUND = 1 << 12
 _QMAX_LIMIT = 10 ** 9
 # points per scan block and positions per series chunk: the scratch memory
@@ -158,8 +156,7 @@ def _weights(u, v, D: int, ell: int):
 
 def _narrow(arr):
     """A compacted bank part as int32 when every value lies strictly inside
-    +-2^31, else as the float64 it was binned in (exact integers either
-    way)."""
+    +-2^31, else as the int64 it was binned in."""
     if arr.size and not -(1 << 31) < arr.min() <= arr.max() < 1 << 31:
         return arr
     return arr.astype(np.int32)
@@ -226,19 +223,19 @@ class _ThetaBank:
     the lattice of one onto the other, keeping the norm and sending
     u + v sqrt(D) to u - v sqrt(D).  So the bank scans the form of the
     pair's smaller class index, and the other class reads the same sums
-    with SUM V negated (the sign argument of series and term).
+    with SUM V negated (the sign argument of series).
 
     Index m reads j = m|D| - nN for 1 <= n < m|D|/N, an arithmetic
     progression in the residue rho = m|D| mod N.  For each requested
     residue the bank keeps the sorted int32 positions i of the nonzero sums
     at j = rho + iN, for j below the largest m|D| requested in that residue
     (its top), with the parts of both sums at those positions, each part an
-    int32 array when all its values lie strictly inside +-2^31 and a
-    float64 array otherwise; index m reads its n-th term at position K - n
+    int32 array when all its values lie strictly inside +-2^31 and an
+    int64 array otherwise; index m reads its n-th term at position K - n
     (K = (m|D| - rho)/N).  The residues never overlap, so the bank of a
     pair holds one int32 position plus one word per part for each nonzero
     norm below the largest requested m|D| (12 bytes at ell = 2 where every
-    sum fits int32, against 20 in float64); it needs no memory cap of its
+    sum fits int32, against 20 in int64); it needs no memory cap of its
     own.
 
     The scan visits only points that some residue reads.  The points with
@@ -246,10 +243,10 @@ class _ThetaBank:
     each coset is cut into rows s = s0 + Ni, whose exact t-span inside the
     residue's own ellipse Q < top follows from 4cQ = (2ct + bs)^2 + |D|s^2.
     A residue is binned, _BLOCK_CELLS points at a time, into one dense
-    float64 array per part and compacted when its scan ends, so only the
-    residue being scanned is ever dense.  It is
-    rescanned only when its top grows (or its number of parts changes), so
-    a bank prefetched one index at a time keeps the residues it holds."""
+    int64 array per part and compacted when its scan ends, so only the
+    residue being scanned is ever dense.  It is rescanned only when its top
+    grows (or its number of parts changes), so a bank prefetched one index
+    at a time keeps the residues it holds."""
 
     def __init__(self, ctx, class_index: int):
         # no reference back to ctx: without a cycle, a context and its
@@ -279,8 +276,8 @@ class _ThetaBank:
         consecutive n at a time, in increasing n: ns is the int64 array of
         the n with a nonzero lattice sum for index m, and sus, svs the int64
         parts of SUM U and of sign * SUM V at those n (the sum is
-        sum_i part_i 2^(26 i), see _exact; every part lies strictly inside
-        +-2^53).  Chunks with no such n are skipped."""
+        sum_i part_i 2^(26 i); every part lies strictly inside +-2^63).
+        Chunks with no such n are skipped."""
         rho, K = self._position(m)
         pos, su, sv = self.arrays[rho]
         # chunk j holds n in (jB, (j+1)B] (B = _BLOCK_CELLS), at positions
@@ -294,18 +291,6 @@ class _ThetaBank:
                        self._parts(su, lo, hi, 1),
                        self._parts(sv, lo, hi, sign))
 
-    def term(self, m: int, n: int, sign: int = 1):
-        """The exact (SUM U, sign * SUM V) of index m at n (zeros off its
-        range)."""
-        rho, K = self._position(m)
-        pos, su, sv = self.arrays[rho]
-        i = int(np.searchsorted(pos, K - n))
-        if not 1 <= n <= K or i == pos.size or pos[i] != K - n:
-            return 0, 0
-        (u,), (v,) = (self._exact(self._parts(parts, i, i + 1, sg))
-                      for parts, sg in ((su, 1), (sv, sign)))
-        return u, v
-
     def _position(self, m: int):
         """(rho, K): index m reads n at position K - n of residue rho."""
         N = self.N
@@ -318,20 +303,9 @@ class _ThetaBank:
     @staticmethod
     def _parts(parts, lo: int, hi: int, sign: int):
         """Positions hi - 1 down to lo of one sum's parts, times sign."""
-        # the int32 and float64 words are exact integers; each part is
-        # negated in int64, where none can wrap
+        # each part is negated in int64, where none can wrap: every word
+        # lies strictly inside +-2^63
         return tuple(sign * a[lo:hi][::-1].astype(np.int64) for a in parts)
-
-    @staticmethod
-    def _exact(parts):
-        """The python ints sum_i part_i 2^(26 i) of one sum's int64 parts."""
-        # a part shifted back up can pass 2^63, so they are added in python
-        # ints
-        ints = [a.tolist() for a in parts]
-        out = ints.pop()
-        while ints:
-            out = [x + (y << 26) for x, y in zip(ints.pop(), out)]
-        return out
 
     # -- internals ------------------------------------------------------------
 
@@ -340,17 +314,17 @@ class _ThetaBank:
         a, b, c = self.form
         qmax = max(tops.values())
         if qmax >= _QMAX_LIMIT:
-            raise HeightError(f"lattice norms up to {qmax} exceed the float64 "
+            raise HeightError(f"lattice norms up to {qmax} exceed the "
                               f"exactness bound {_QMAX_LIMIT}")
         smax = isqrt(4 * c * qmax // aD) + 1
         tmax = isqrt(4 * a * qmax // aD) + 1
         umax = 2 * a * smax + abs(b) * tmax
         bound = max(_weight_bound(umax, tmax, self.D, ell))
         # weights past int64 are python ints; each sum is cut into 26-bit
-        # parts, the top one signed, until every part's sums stay below 2^53
+        # parts, the top one signed, until every part's sums stay below 2^63
         wide = bound >= 1 << 62
         nparts = 1
-        while ((bound >> 26 * (nparts - 1)) + 1) * _COUNT_BOUND >= 1 << 53:
+        while ((bound >> 26 * (nparts - 1)) + 1) * _COUNT_BOUND >= 1 << 63:
             nparts += 1
         # a residue keeps its arrays unless its top grew or its number of
         # parts changed
@@ -365,7 +339,7 @@ class _ThetaBank:
         with Q < top, binned at position Q // N, then compacted."""
         aD, N = self.aD, self.N
         a, b, c = self.form
-        store = tuple(tuple(np.zeros((top - rho) // N, dtype=np.float64)
+        store = tuple(tuple(np.zeros((top - rho) // N, dtype=np.int64)
                             for _ in range(nparts)) for _ in range(2))
         s0, t0 = self._cosets(rho)
         # one row per coset and s = s0 + Ni in [-smax, smax]
@@ -430,12 +404,13 @@ class _ThetaBank:
     def _bin(self, store, idx, U, V):
         # np.add.at touches only the block's own bins: no scratch array spans
         # the index range, which for a block that crosses every row is most
-        # of the residue
+        # of the residue.  The python-int weights of a wide scan are cast to
+        # int64 once cut into parts
         for arrs, w in zip(store, (U, V)):
             for arr in arrs[:-1]:       # low 26-bit parts, then the rest
-                np.add.at(arr, idx, (w & _MASK26).astype(np.float64))
+                np.add.at(arr, idx, (w & _MASK26).astype(np.int64, copy=False))
                 w = w >> 26
-            np.add.at(arrs[-1], idx, w.astype(np.float64))
+            np.add.at(arrs[-1], idx, w.astype(np.int64, copy=False))
 
 
 class _SigmaStore:
@@ -481,8 +456,8 @@ class _SigmaStore:
 
 
 def _limbs(parts):
-    """(keys, A): the 16-bit limbs of int64 arrays below 2^53 in size, as
-    the float64 rows of A.  Row key 4 i + j holds limb j of parts[i]: the
+    """(keys, A): the 16-bit limbs of int64 arrays (any values), as the
+    float64 rows of A.  Row key 4 i + j holds limb j of parts[i]: the
     low limbs in [0, 2^16), the top one signed, in [-2^15, 2^15), and as
     many as the largest value needs (at most four)."""
     x = np.stack(parts)
@@ -574,6 +549,7 @@ class HeightContext:
         self._plog = {}
         self._sigma_store = {}
         self._class_const = {}
+        self._uf_terms = None
         self._build_splits()
 
     # -- serialization -------------------------------------------------------
@@ -746,16 +722,6 @@ class HeightContext:
             self._class_const[class_index] = v
         return v
 
-    def theta_residue(self, class_index: int, m: int, n: int) -> int:
-        """r_chi(class, m|D| - nN) mod p^W straight from the lattice bank."""
-        bank = self._bank(class_index)
-        bank.ensure([m])
-        su, sv = bank.term(m, n, self._bank_of[class_index][1])
-        if not (su or sv):      # a zero term needs no class theta constant
-            return 0
-        return (su + sv * self.shat) * self._class_theta_const(
-            class_index) % self.pW
-
     # -- the B/C pair -----------------------------------------------------------
 
     def _cb(self, class_index: int, m: int):
@@ -888,10 +854,17 @@ def uf_terms(ctx: HeightContext):
                                                   key=lambda kv: kv[0])]
 
 
+def _uf(ctx: HeightContext):
+    """uf_terms(ctx), expanded once per context."""
+    if ctx._uf_terms is None:
+        ctx._uf_terms = uf_terms(ctx)
+    return ctx._uf_terms
+
+
 def apply_UF(ctx: HeightContext, seq, class_index: int, m: int):
     """Evaluate the expanded operator on a sequence accessor seq(class, m)."""
     acc = None
-    for coef, du, shift in uf_terms(ctx):
+    for coef, du, shift in _uf(ctx):
         v = seq(ctx.group.mult(class_index, shift), m * ctx.p ** du)
         t = v * coef
         acc = t if acc is None else acc + t
@@ -900,7 +873,7 @@ def apply_UF(ctx: HeightContext, seq, class_index: int, m: int):
 
 def _op_pairs(ctx, class_index, m):
     pairs = [(ctx.group.mult(class_index, sh), m * ctx.p ** du)
-             for _, du, sh in uf_terms(ctx)]
+             for _, du, sh in _uf(ctx)]
     pairs += [(class_index, m * ctx.p ** 2), (class_index, m * ctx.p ** 4)]
     return pairs
 

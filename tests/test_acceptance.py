@@ -283,13 +283,14 @@ def test_criterion_08_height_fourier_crosscheck():
     # h = 3 field: two-path agreement holds at m = p; the operator residual
     # needs m = 145 (p | m, coprime to the level, vanishing counts at every
     # touched index), whose top lattice norm 145 * 29^4 * 23 ~ 2.4e9 is past
-    # the 1e9 bound where the float64 bank sums are proven exact
+    # the 1e9 bound where the lattice count bound behind the int64 bank sums
+    # is proven
     level3, p3 = admissible_params(-23, char_ell=2)
     ctx3 = HeightContext(-23, level3, p3, 2, 1, n_prec=30)
     ok = ok and fourier_am(ctx3, 0, p3) == fourier_am_direct(ctx3, 0, p3)
     notes.append("h=3 residual check SKIPPED: smallest admissible m is 145, "
                  "whose top lattice norm 145*29^4*23 ~ 2.4e9 is past the "
-                 "1e9 float64 exactness bound; two-path agreement ran at m=29")
+                 "1e9 exactness bound; two-path agreement ran at m=29")
     report(8, "height against Fourier closed form", ok,
            time.monotonic() - t0, 300.0,
            "; ".join(notes) if notes else "all residuals 30/30")

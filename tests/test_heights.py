@@ -124,17 +124,19 @@ def test_ledger_slack_zero(ctx21, ctx31, ctx32, ctx_big):
 def test_bank_matches_theta_coefficients(ctx21):
     for m in (100, 101):
         md = m * 7
+        got = _theta_residues(ctx21, 0, m)
         for n in range(1, (md - 1) // 23 + 1):
             want = ctx21.chi.r_chi(0, md - 23 * n).residue(ctx21.W)
-            assert ctx21.theta_residue(0, m, n) == want
+            assert got.get(n, 0) == want
 
 
 def test_bank_matches_theta_coefficients_two_classes(ctx_h2):
     for ci in (0, 1):
         md = 50 * 15
+        got = _theta_residues(ctx_h2, ci, 50)
         for n in range(1, (md - 1) // 17 + 1):
             want = ctx_h2.chi.r_chi(ci, md - 17 * n).residue(ctx_h2.W)
-            assert ctx_h2.theta_residue(ci, 50, n) == want
+            assert got.get(n, 0) == want
 
 
 def test_theta_residue_mirror_classes():
@@ -144,10 +146,18 @@ def test_theta_residue_mirror_classes():
     for ci in (1, 2):
         for m in (20, 21):
             md = m * 31
+            got = _theta_residues(ctx, ci, m)
             for n in range(1, (md - 1) // 7 + 1):
                 want = ctx.chi.r_chi(ci, md - 7 * n).residue(ctx.W)
-                assert ctx.theta_residue(ci, m, n) == want, (ci, m, n)
+                assert got.get(n, 0) == want, (ci, m, n)
     assert list(ctx._banks) == [1]
+
+
+def _exact(parts):
+    """The python ints sum_i part_i 2^(26 i) of one sum's int64 parts (a
+    part shifted back up can pass 2^63)."""
+    return [sum(x << 26 * i for i, x in enumerate(xs))
+            for xs in zip(*(a.tolist() for a in parts))]
 
 
 def _series(bank, m, sign=1):
@@ -157,8 +167,8 @@ def _series(bank, m, sign=1):
     for chunk_ns, chunk_su, chunk_sv in bank.series(m, sign):
         assert chunk_ns.size
         ns.extend(chunk_ns.tolist())
-        sus.extend(bank._exact(chunk_su))
-        svs.extend(bank._exact(chunk_sv))
+        sus.extend(_exact(chunk_su))
+        svs.extend(_exact(chunk_sv))
     assert all(a < b for a, b in zip(ns, ns[1:]))
     return ns, sus, svs
 
@@ -166,6 +176,37 @@ def _series(bank, m, sign=1):
 def _class_series(ctx, ci, m):
     """Class ci's own series: its inverse pair's bank read with its sign."""
     return _series(ctx._bank(ci), m, ctx._bank_of[ci][1])
+
+
+def _theta_residue(ctx, ci, su, sv):
+    """r_chi mod p^W from class ci's exact sums, as _cb weighs them:
+    (SUM U + SUM V shat) times the class theta constant."""
+    return (su + sv * ctx.shat) * ctx._class_theta_const(ci) % ctx.pW
+
+
+def _theta_residues(ctx, ci, m):
+    """{n: r_chi(class ci, m|D| - nN) mod p^W} over the n of class ci's
+    series for index m (r_chi is 0 at every other n)."""
+    ctx.prefetch([(ci, m)])
+    return {n: _theta_residue(ctx, ci, su, sv)
+            for n, su, sv in zip(*_class_series(ctx, ci, m))}
+
+
+@pytest.fixture
+def split_bound(monkeypatch):
+    """A check that the largest weight bound of the scans so far lies in
+    [2^51, 2^62): one int64 part cannot hold its sums, and the weights are
+    still int64."""
+    bounds = []
+    real = heights._weight_bound
+
+    def recording(*args):
+        out = real(*args)
+        bounds.append(max(out))
+        return out
+
+    monkeypatch.setattr(heights, "_weight_bound", recording)
+    return lambda: 1 << 51 <= max(bounds) < 1 << 62
 
 
 def _brute_series(form, D, ell, m, aD, level):
@@ -185,16 +226,16 @@ def _brute_series(form, D, ell, m, aD, level):
     return {n: p for n, p in acc.items() if p != (0, 0)}
 
 
-def test_strided_split_bank_vs_bruteforce():
-    # the quartic weights at this size overflow a single float64 word,
-    # forcing the 26-bit split
-    ctx = HeightContext(-7, 23, 11, 3, 2, n_prec=30)
-    m = 40_000
+def test_strided_split_bank_vs_bruteforce(split_bound):
+    # the sums of the sextic weights at this size could pass a single int64
+    # word, forcing the 26-bit split
+    ctx = HeightContext(-7, 23, 11, 4, 3, n_prec=30)
+    m = 2000
     ctx.prefetch([(0, m)])
     bank = ctx._bank(0)
-    assert bank.nparts == 2
+    assert bank.nparts == 2 and split_bound()
     ns, sus, svs = _series(bank, m)
-    want = _brute_series(ctx.group.forms[0], -7, 4, m, 7, 23)
+    want = _brute_series(ctx.group.forms[0], -7, 6, m, 7, 23)
     assert dict(zip(ns, zip(sus, svs))) == want
 
 
@@ -266,8 +307,8 @@ def test_weights_exact_up_to_the_bound(D):
 
 
 def test_scan_rejects_norms_past_float64_bound(ctx21):
-    # the lattice count bound behind the exact float64 bins is proven only
-    # for norms below 10^9; the request must fail before any allocation
+    # the lattice count bound behind the int64 bins is proven only for
+    # norms below 10^9; the request must fail before any allocation
     with pytest.raises(HeightError, match="exactness bound"):
         ctx21.prefetch([(0, 10 ** 9 // 7 + 1)])
 
@@ -338,17 +379,17 @@ def test_bank_many_residues_vs_bruteforce():
     (-23, 3, 29, 2, 1), (-31, 7, 5, 2, 1),
     # h = 4: classes 1 and 2 are inverse, 0 and 3 are their own inverses
     (-55, 13, 7, 2, 1),
-    # the quartic weights of m = 3000 pass the single-word range
-    (-31, 7, 5, 3, 2)])
-def test_bank_every_class_vs_bruteforce(args):
+    # the sextic weights of m = 500 pass the single-word range
+    (-31, 7, 5, 4, 3)])
+def test_bank_every_class_vs_bruteforce(split_bound, args):
     ctx = HeightContext(*args)
-    split = ctx.ell == 4
-    ms = [1, 2, 3, 5, 7, 21, 60] + ([3000] if split else [])
+    split = ctx.ell == 6
+    ms = [1, 2, 3, 5, 7, 21, 60] + ([500] if split else [])
     ctx.prefetch([(ci, m) for ci in range(ctx.h) for m in ms])
     # in each field class 2 is the inverse of class 1 and reads its bank
     assert ctx._bank_of[2] == (1, -1)
     assert sorted(ctx._banks) == [ci for ci in range(ctx.h) if ci != 2]
-    assert (ctx._bank(1).nparts == 2) == split
+    assert (ctx._bank(1).nparts == 2) == split == split_bound()
     for ci in range(ctx.h):
         _assert_bank_matches_brute(ctx, ci, ms)
 
@@ -374,18 +415,18 @@ def test_bank_blocks_cut_inside_cosets(monkeypatch, cells):
         _assert_bank_matches_brute(ctx, ci, ms)
 
 
-def test_bank_split_switch_rescans_held_residues():
+def test_bank_split_switch_rescans_held_residues(split_bound):
     # a later index past the single-word range turns on the 26-bit split;
     # the residues already held must be rescanned into two parts
-    ctx = HeightContext(-7, 23, 11, 3, 2)
+    ctx = HeightContext(-7, 23, 11, 4, 3)
     ctx.prefetch([(0, 50), (0, 51)])
     assert ctx._bank(0).nparts == 1
-    ctx.prefetch([(0, 40_000)])
+    ctx.prefetch([(0, 2000)])
     bank = ctx._bank(0)
-    assert bank.nparts == 2
+    assert bank.nparts == 2 and split_bound()
     assert all(len(su) == len(sv) == 2 for _, su, sv in bank.arrays.values())
     # the weights of the large index pass 2^26, so its high words are used
-    assert bank.arrays[40_000 * 7 % 23][1][1].any()
+    assert bank.arrays[2000 * 7 % 23][1][1].any()
     _assert_bank_matches_brute(ctx, 0, [50, 51])
 
 
@@ -406,14 +447,16 @@ def test_bank_keeps_norms_with_only_a_v_sum(monkeypatch):
 
 
 def test_bank_words_are_int32_only_where_exact(monkeypatch):
-    # rig the weights of two norms of the bank that classes 1 and 2 of
-    # D = -31 share, each a single pair +-(u, v) with uv > 0: residue 5's
-    # sums reach +-(2^31 - 1), which an int32 word holds, and residue 1's
-    # reach +-2^31, which stay float64.  U is even and V odd in v, as real
-    # weights are, so the mirror class still reads SUM V negated
+    # rig the weights of three norms of the one-part bank that classes 1
+    # and 2 of D = -31 share, each a single pair +-(u, v) with uv > 0:
+    # residue 5's sums reach +-(2^31 - 1), which an int32 word holds,
+    # residue 1's reach +-2^31 and residue 4's +-(2^53 + 1), which stay
+    # int64 (a float64 bin rounds the last to 2^53).  U is even and V odd in
+    # v, as real weights are, so the mirror class still reads SUM V negated
     ctx = HeightContext(-31, 7, 5, 2, 1)
     a = ctx.group.forms[1][0]
-    rig = {19: ((1 << 31) - 1, 1 - (1 << 31)), 71: (1 << 31, -(1 << 31))}
+    rig = {19: ((1 << 31) - 1, 1 - (1 << 31)), 71: (1 << 31, -(1 << 31)),
+           95: ((1 << 53) + 1, -(1 << 53) - 1)}
 
     def rigged(u, v, U, V):
         q, hi = (u * u + ctx.aD * v * v) // (4 * a), u > 0
@@ -428,24 +471,27 @@ def test_bank_words_are_int32_only_where_exact(monkeypatch):
                         rigged(u, v, *real(u, v, D, ell)))
     monkeypatch.setitem(globals(), "_expand", lambda u, v, D, ell, e=_expand:
                         tuple(map(int, rigged(u, v, *e(u, v, D, ell)))))
-    ctx.prefetch([(1, 60), (2, 61)])
+    ctx.prefetch([(1, 60), (2, 61), (1, 62)])
     bank = ctx._bank(1)
-    for rho, word in ((5, np.int32), (1, np.float64)):
+    assert bank.nparts == 1
+    for rho, word in ((5, np.int32), (1, np.int64), (4, np.int64)):
         _, su, sv = bank.arrays[rho]
         assert [arr.dtype for arr in su + sv] == [word, word], rho
     for ci in (1, 2):
         sign = ctx._bank_of[ci][1]
-        for m, j in ((60, 19), (61, 71)):
+        for m, j in ((60, 19), (61, 71), (62, 95)):
             want = _brute_series(ctx.group.forms[ci], ctx.D, ctx.ell, m,
                                  ctx.aD, ctx.level)
             K = m * ctx.aD // ctx.level
             assert want[K - j // ctx.level] == (rig[j][0], sign * rig[j][1])
             ns, sus, svs = _class_series(ctx, ci, m)
             assert dict(zip(ns, zip(sus, svs))) == want, (ci, m)
-            assert all(bank.term(m, n, sign) == want.get(n, (0, 0))
-                       for n in range(K + 2)), (ci, m)
+            got = _theta_residues(ctx, ci, m)
+            assert all(got.get(n, 0) == _theta_residue(
+                ctx, ci, *want.get(n, (0, 0))) for n in range(K + 2)), (ci, m)
             # the B/C sum cuts the extreme words into 16-bit limbs: the
-            # rigged n (263 prime to p, 260 = 0 mod p) carry nonzero sigma
+            # rigged n (263 and 261 prime to p, 260 = 0 mod p) carry
+            # nonzero sigma
             n = K - j // ctx.level
             assert ctx.sigma_res(ci, n) and (n % ctx.p == 0) == (m == 61)
             cv, bv = ctx._cb(ci, m)
@@ -453,17 +499,18 @@ def test_bank_words_are_int32_only_where_exact(monkeypatch):
                 _termwise_cb(ctx, ci, m), (ci, m)
 
 
-def test_bank_split_switch_seen_through_mirror_class():
+def test_bank_split_switch_seen_through_mirror_class(split_bound):
     # class 2 of D = -31 reads class 1's bank with SUM V negated; its own
     # later index turns on the split of that shared bank
-    ctx = HeightContext(-31, 7, 5, 3, 2)
+    ctx = HeightContext(-31, 7, 5, 4, 3)
     assert ctx._bank_of[1:] == [(1, 1), (1, -1)]
     ctx.prefetch([(2, 50), (2, 51)])
     assert ctx._bank(2).nparts == 1
-    ctx.prefetch([(2, 3000)])
+    ctx.prefetch([(2, 500)])
     assert list(ctx._banks) == [1] and ctx._bank(1).nparts == 2
+    assert split_bound()
     for ci in (1, 2):
-        _assert_bank_matches_brute(ctx, ci, [50, 51, 3000])
+        _assert_bank_matches_brute(ctx, ci, [50, 51, 500])
 
 
 def _bank_bytes(ctx):
@@ -499,7 +546,7 @@ def test_bc_report_banks_one_per_inverse_pair():
     # the prefetch of bc-check (-31, 7, 5, 2, 1) at mmax 30: classes 1 and 2
     # share one bank, and each bank keeps only its nonzero norms (dense
     # arrays of every norm, one set per class, take 23.9 MiB), in int32
-    # words: 12 bytes per norm, 2.3 MiB (float64 sums took 3.9 MiB)
+    # words: 12 bytes per norm, 2.3 MiB (8-byte words take 3.9 MiB)
     ctx = HeightContext(-31, 7, 5, 2, 1)
     ctx.prefetch([c for ci in range(ctx.h) for m in range(1, 31)
                   for c in heights._op_pairs(ctx, ci, m)])
@@ -641,14 +688,14 @@ def test_cb_matches_termwise_sum():
 
 
 @pytest.mark.parametrize("args, m, split", [((-7, 23, 11, 2, 1), 2000, False),
-                                            ((-7, 23, 11, 3, 2), 20_000, True)])
-def test_series_chunks_cut_anywhere(monkeypatch, args, m, split):
+                                            ((-7, 23, 11, 4, 3), 2000, True)])
+def test_series_chunks_cut_anywhere(monkeypatch, split_bound, args, m, split):
     # 7-position chunks: the series and the B/C sum read every chunk boundary
     monkeypatch.setattr(heights, "_BLOCK_CELLS", 7)
     ctx = HeightContext(*args, n_prec=30)
     ctx.prefetch([(0, m)])
     bank = ctx._bank(0)
-    assert (bank.nparts == 2) == split
+    assert (bank.nparts == 2) == split == split_bound()
     chunks = list(bank.series(m))
     assert len(chunks) > 50
     assert all(ns[-1] - ns[0] < 7 for ns, _, _ in chunks)
@@ -682,7 +729,8 @@ def test_sigma_store_rows_are_sigma_times_powers_of_n():
         assert got == [sg, sg * n % ctx.pW], n
 
 
-@pytest.mark.parametrize("top", [0, 1 << 15, 1 << 31, (1 << 53) - 1])
+@pytest.mark.parametrize("top", [0, 1 << 15, 1 << 31, (1 << 53) - 1,
+                                 (1 << 63) - 1])
 def test_limbs_rebuild_every_word(top):
     # the limbs of a part rebuild it, the low ones in [0, 2^16), the top one
     # in [-2^15, 2^15), so each product with a store limb is below 2^32
@@ -897,6 +945,21 @@ def test_bc_residual_twisted_character():
     ctx = HeightContext(-15, 17, 23, 2, 1, n_prec=30, twist=(1,))
     assert bc_residual(ctx, 0, 1) == 30
     assert bc_residual(ctx, 1, 1) == 30
+
+
+def test_bc_report_refusal_expands_the_operator_once(monkeypatch):
+    # mmax 200000 lists 200000 cells whose norms pass the 10^9 bound; the
+    # operator expansion is built once per context, not once per listed
+    # cell, so the scan's refusal comes after seconds, not minutes
+    builds = []
+    real = heights.uf_terms
+    monkeypatch.setattr(heights, "uf_terms",
+                        lambda ctx: builds.append(ctx) or real(ctx))
+    ctx = HeightContext(-7, 23, 11, 2, 1, n_prec=30)
+    with pytest.raises(HeightError, match=r"^lattice norms up to 20497400000 "
+                       r"exceed the exactness bound 1000000000$"):
+        bc_report(ctx, 200_000)
+    assert builds == [ctx]
 
 
 def test_bc_report_shape_and_determinism(ctx31):
