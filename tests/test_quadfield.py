@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from padicheights import quadfield as qf
 from padicheights.quadfield import KElem, QuadFieldError
@@ -69,10 +69,25 @@ def test_kronecker_euler_criterion():
 
 
 @given(st.integers(-300, 300), st.integers(-300, 300), st.integers(-60, 60))
+@example(0, -1, -1)
+@example(-3, 0, -1)
+@example(0, 3, -1)
+@example(-1, 0, -1)
 @settings(max_examples=300)
 def test_kronecker_multiplicative(a, b, n):
-    assert qf.kronecker(a * b, n) == qf.kronecker(a, n) * qf.kronecker(b, n)
-    assert qf.kronecker(n, a * b) == qf.kronecker(n, a) * qf.kronecker(n, b)
+    # Multiplicative in each argument except where a zero meets -1:
+    # (0/-1) = 1 while (x/-1) = -1 for x < 0, and (-1/0) = 1 while
+    # (-1/x) = -1 for some x.  There the product is exactly -1.
+    top, top_prod = qf.kronecker(a * b, n), qf.kronecker(a, n) * qf.kronecker(b, n)
+    if n == -1 and 0 in (a, b) and min(a, b) < 0:
+        assert (top, top_prod) == (1, -1)
+    else:
+        assert top == top_prod
+    bottom, bottom_prod = qf.kronecker(n, a * b), qf.kronecker(n, a) * qf.kronecker(n, b)
+    if n == -1 and 0 in (a, b) and qf.kronecker(-1, a + b) == -1:
+        assert (bottom, bottom_prod) == (1, -1)
+    else:
+        assert bottom == bottom_prod
 
 
 @pytest.mark.parametrize("D", [-7, -15, -23, -47])
