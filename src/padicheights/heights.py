@@ -14,30 +14,29 @@ Fourier coefficients of the log-weighted measure, the local height
 coefficient sum, and the end-to-end height/Fourier residual.
 
 Everything runs in plain integer arithmetic mod p^W with W = n_prec + 10
-guard digits; theta coefficients come from a vectorized lattice enumeration
-whose per-norm sums are int64 sums that cannot overflow: every partial sum
-of a bin is bounded by _COUNT_BOUND times the largest weight, below 2^63
-(weights are split into 26-bit parts when single words could pass it, and
-computed in python ints when they could pass 2^62).  The scan bins one
-block of _BLOCK_CELLS = 2^12 points at a time into a dense array of the
-residue it scans, and the series are read out in chunks of as many n, so
-the scratch memory of a scan is fewer than 24 8-byte words per block cell
-(0.75 MiB) beside one residue's dense array, and that of a sum is bounded
-by the block, whatever the bank's size.
+guard digits.  Theta coefficients come from a vectorized lattice enumeration
+that holds every integer as balanced 16-bit digits in [-2^15, 2^15): each
+weight (in python ints where it could pass 2^62) is cut into as many
+digits as its residue's weight bound needs, and each digit is binned into
+an int32 row, which a bin of at most _COUNT_BOUND digits cannot overflow.
+The scan bins one block of _BLOCK_CELLS = 2^12 points at a time into the
+dense rows of the residue it scans, and the series are read out in chunks
+of as many n, so the scratch memory of a scan is fewer than 24 8-byte
+words per block cell (0.75 MiB) beside one residue's dense rows, and that
+of a sum is bounded by the block, whatever the bank's size.
 Index m only reads norms in the residue class of m|D| mod N, and the scan
 visits only those points: the cosets of N Z^2 on which the form takes a
 requested residue (see _Cosets), each inside that residue's own ellipse.
 Classes c and c^-1 share one bank, since (s, t) -> (s, -t) maps the lattice of
 the reduced form (a, b, c) onto that of (a, -b, c) and negates SUM V; so c^-1
 reads the bank of c with SUM V negated, and their B/C sums come from one pass.
-Per residue the bank keeps one int32 position plus one word per part for
-each nonzero norm below the largest requested norm (see _ThetaBank), per
-inverse pair, with no memory cap: an int32 word where every sum of that part
-lies strictly inside +-2^31, an int64 word otherwise.
+Per residue the bank keeps one int32 position and the int16 digits of both
+sums, as many as its largest sum needs, for each nonzero norm below the
+largest requested norm (see _ThetaBank), per inverse pair, with no cap.
 The divisor sums sigma(n) n^d mod p^W are kept once per genus signature as
 rows of 16-bit limbs (see _SigmaStore), and the B/C sums are exact integer
-sums of limb products, taken one chunk at a time as float64 matrix
-products (see _bc_sums and _require_sum_bounds).
+sums of digit-times-limb products, taken one chunk at a time as float64
+matrix products (see _bc_sums and _require_sum_bounds).
 """
 
 from __future__ import annotations
@@ -57,12 +56,12 @@ from .quadfield import (class_index_of_ideal, class_norm, count_rA,
                         split_type, validate_discriminant)
 
 GUARD = 10
-_MASK26 = (1 << 26) - 1
 # crude but provable bound on the number of lattice points of a given norm
 # (2 * sum over divisors of |kronecker| <= 2 * d(n), and d(n) < 2^11 for
-# n < 10^9, which _ThetaBank._scan enforces through _QMAX_LIMIT).  A bin's
-# partial sums add integer weights of that norm's points in some order, so
-# each one is of size < _COUNT_BOUND * max|w| < 2^63: no int64 bin overflows
+# n < 10^9, which _ThetaBank._scan enforces through _QMAX_LIMIT).  A bin
+# adds one balanced 16-bit digit of the weight of each point of its norm, so
+# its partial sums are of size <= _COUNT_BOUND * 2^15 = 2^27: no int32 bin
+# overflows
 _COUNT_BOUND = 1 << 12
 _QMAX_LIMIT = 10 ** 9
 # points per scan block and positions per series chunk: the scratch memory
@@ -74,9 +73,9 @@ _BLOCK_CELLS = 1 << 12
 
 
 def _require_sum_bounds(K: int):
-    """The exactness hypotheses of the limb sums of _bc_sums.  Each term is
-    a 16-bit limb of a bank part (see _limbs) times a 16-bit limb of the
-    sigma store, below 2^32 in size.  A chunk's float64 matrix product adds at
+    """The exactness hypotheses of the sums of _bc_sums.  Each term is a
+    bank digit in [-2^15, 2^15) times a 16-bit limb of the sigma store, below
+    2^31 < 2^32 in size.  A chunk's float64 matrix product adds at
     most _BLOCK_CELLS terms, so its sums are integers below
     _BLOCK_CELLS * 2^32 < 2^53 in every order of addition; the int64
     accumulator adds the terms of at most K positions, below
@@ -154,12 +153,34 @@ def _weights(u, v, D: int, ell: int):
     return r
 
 
-def _narrow(arr):
-    """A compacted bank part as int32 when every value lies strictly inside
-    +-2^31, else as the int64 it was binned in."""
-    if arr.size and not -(1 << 31) < arr.min() <= arr.max() < 1 << 31:
-        return arr
-    return arr.astype(np.int32)
+def _digit_count(bound: int) -> int:
+    """The fewest count with bound < (2^15 - 1) 2^(16 (count - 1))."""
+    return 1 + ((bound // 0x7FFF).bit_length() + 15) // 16
+
+
+def _cut(w, count: int):
+    """The `count` balanced 16-bit digits of the integer array w (int64 or
+    python ints), low first, as int32 arrays: w = sum_i digit_i 2^(16 i).
+    The low ones lie in [-2^15, 2^15) and add up to less than
+    2^(16 (count - 1)) in size, so the top one does too once
+    count >= _digit_count(max |w|)."""
+    digits = []
+    for _ in range(count - 1):
+        d = ((w + 0x8000) & 0xFFFF) - 0x8000
+        digits.append(d.astype(np.int32))
+        w = (w - d) >> 16
+    return digits + [w.astype(np.int32)]
+
+
+def _carry(sums):
+    """The int32 digit sums (2, d, n), each of size <= 2^27, as balanced
+    16-bit digits in int16 (2, d + 1, n): each carry is below 2^12 in size."""
+    out = np.empty((2, sums.shape[1] + 1, sums.shape[2]), dtype=np.int16)
+    c = 0
+    for i in range(sums.shape[1]):
+        out[:, i], c = _cut(sums[:, i] + c, 2)
+    out[:, -1] = c
+    return out
 
 
 class _Cosets:
@@ -223,30 +244,28 @@ class _ThetaBank:
     the lattice of one onto the other, keeping the norm and sending
     u + v sqrt(D) to u - v sqrt(D).  So the bank scans the form of the
     pair's smaller class index, and the other class reads the same sums
-    with SUM V negated (the sign argument of series).
+    with SUM V negated (see HeightContext._cb).
 
     Index m reads j = m|D| - nN for 1 <= n < m|D|/N, an arithmetic
     progression in the residue rho = m|D| mod N.  For each requested
     residue the bank keeps the sorted int32 positions i of the nonzero sums
     at j = rho + iN, for j below the largest m|D| requested in that residue
-    (its top), with the parts of both sums at those positions, each part an
-    int32 array when all its values lie strictly inside +-2^31 and an
-    int64 array otherwise; index m reads its n-th term at position K - n
-    (K = (m|D| - rho)/N).  The residues never overlap, so the bank of a
-    pair holds one int32 position plus one word per part for each nonzero
-    norm below the largest requested m|D| (12 bytes at ell = 2 where every
-    sum fits int32, against 20 in int64); it needs no memory cap of its
-    own.
+    (its top), and both sums there as balanced 16-bit digits: one int16
+    array (2, d, positions), SUM U then SUM V, row i of weight 2^(16 i), d
+    the fewest rows that hold the residue's sums.  Index m reads its n-th
+    term at position K - n (K = (m|D| - rho)/N).  The residues never
+    overlap, so the bank of a pair holds 4 + 4d bytes for each nonzero norm
+    below the largest requested m|D| (12 at ell = 2, where two digits hold
+    every sum); it needs no memory cap of its own.
 
     The scan visits only points that some residue reads.  The points with
     Q = rho (mod N) are the cosets (s0, t0) + N Z^2 that _Cosets lists, and
     each coset is cut into rows s = s0 + Ni, whose exact t-span inside the
     residue's own ellipse Q < top follows from 4cQ = (2ct + bs)^2 + |D|s^2.
-    A residue is binned, _BLOCK_CELLS points at a time, into one dense
-    int64 array per part and compacted when its scan ends, so only the
-    residue being scanned is ever dense.  It is rescanned only when its top
-    grows (or its number of parts changes), so a bank prefetched one index
-    at a time keeps the residues it holds."""
+    A residue is binned, _BLOCK_CELLS points at a time, into int32 rows, as
+    many per weight as its own weight bound needs, and compacted when its
+    scan ends, so only the residue being scanned is ever dense.  It is
+    rescanned only when its top grows, so the residues a bank holds stay."""
 
     def __init__(self, ctx, class_index: int):
         # no reference back to ctx: without a cycle, a context and its
@@ -254,8 +273,7 @@ class _ThetaBank:
         self.D, self.aD, self.N, self.ell = ctx.D, ctx.aD, ctx.level, ctx.ell
         self.form = ctx.group.forms[class_index]
         self.tops = {}             # rho -> largest m|D| requested in rho
-        self.arrays = {}           # rho -> (positions, su_parts, sv_parts)
-        self.nparts = 1            # 26-bit parts per sum (see _scan)
+        self.arrays = {}           # rho -> (positions, digits)
         self._cosets = _Cosets(self.form, ctx.D, ctx.level)
 
     # -- public -------------------------------------------------------------
@@ -271,15 +289,15 @@ class _ThetaBank:
         if tops != self.tops:
             self._scan(tops)
 
-    def series(self, m: int, sign: int = 1):
-        """Yield (ns, sus, svs), one chunk of at most _BLOCK_CELLS
+    def series(self, m: int):
+        """Yield (ns, digits), one chunk of at most _BLOCK_CELLS
         consecutive n at a time, in increasing n: ns is the int64 array of
-        the n with a nonzero lattice sum for index m, and sus, svs the int64
-        parts of SUM U and of sign * SUM V at those n (the sum is
-        sum_i part_i 2^(26 i); every part lies strictly inside +-2^63).
-        Chunks with no such n are skipped."""
+        the n with a nonzero lattice sum for index m, and digits the int16
+        view of shape (2, d, ns.size) that holds SUM U and SUM V at those n
+        (sum s at n is sum_i digits[s, i] 2^(16 i)).  Chunks with no such n
+        are skipped."""
         rho, K = self._position(m)
-        pos, su, sv = self.arrays[rho]
+        pos, digits = self.arrays[rho]
         # chunk j holds n in (jB, (j+1)B] (B = _BLOCK_CELLS), at positions
         # K - (j+1)B .. K - jB - 1; one search finds the ends of every chunk,
         # since each search with int64 keys copies the whole of pos to int64
@@ -288,8 +306,7 @@ class _ThetaBank:
         for hi, lo in zip(cuts, cuts[1:]):
             if lo < hi:
                 yield (K - pos[lo:hi][::-1].astype(np.int64),
-                       self._parts(su, lo, hi, 1),
-                       self._parts(sv, lo, hi, sign))
+                       digits[:, :, lo:hi][:, :, ::-1])
 
     def _position(self, m: int):
         """(rho, K): index m reads n at position K - n of residue rho."""
@@ -300,50 +317,55 @@ class _ThetaBank:
             raise HeightError("theta bank not prepared for this index")
         return rho, (MD - rho) // N
 
-    @staticmethod
-    def _parts(parts, lo: int, hi: int, sign: int):
-        """Positions hi - 1 down to lo of one sum's parts, times sign."""
-        # each part is negated in int64, where none can wrap: every word
-        # lies strictly inside +-2^63
-        return tuple(sign * a[lo:hi][::-1].astype(np.int64) for a in parts)
-
     # -- internals ------------------------------------------------------------
 
     def _scan(self, tops):
-        aD, ell = self.aD, self.ell
-        a, b, c = self.form
         qmax = max(tops.values())
         if qmax >= _QMAX_LIMIT:
             raise HeightError(f"lattice norms up to {qmax} exceed the "
                               f"exactness bound {_QMAX_LIMIT}")
-        smax = isqrt(4 * c * qmax // aD) + 1
-        tmax = isqrt(4 * a * qmax // aD) + 1
-        umax = 2 * a * smax + abs(b) * tmax
-        bound = max(_weight_bound(umax, tmax, self.D, ell))
-        # weights past int64 are python ints; each sum is cut into 26-bit
-        # parts, the top one signed, until every part's sums stay below 2^63
-        wide = bound >= 1 << 62
-        nparts = 1
-        while ((bound >> 26 * (nparts - 1)) + 1) * _COUNT_BOUND >= 1 << 63:
-            nparts += 1
-        # a residue keeps its arrays unless its top grew or its number of
-        # parts changed
-        held = self.arrays if nparts == self.nparts else {}
-        self.arrays = {rho: held[rho] if rho in held and top == self.tops[rho]
-                       else self._scan_residue(rho, top, nparts, wide)
+        # a residue keeps its arrays unless its top grew
+        self.arrays = {rho: self.arrays[rho] if top == self.tops.get(rho)
+                       else self._scan_residue(rho, top)
                        for rho, top in sorted(tops.items())}
-        self.tops, self.nparts = tops, nparts
+        self.tops = tops
 
-    def _scan_residue(self, rho: int, top: int, nparts: int, wide: bool):
-        """The bank arrays of residue rho: every point of Q = rho (mod N)
-        with Q < top, binned at position Q // N, then compacted."""
+    def _scan_residue(self, rho: int, top: int):
+        """Residue rho's dense columns with a nonzero digit sum, carried a
+        block at a time (no scratch spans them), less those with sums 0
+        (weights +-2^15 bin -2^16 and 1), in the fewest digit rows, at their
+        positions (< top / N, so int32)."""
+        rows = self._dense(rho, top)
+        pos = rows[0] != 0          # the nonzero columns, then their indices
+        for i in range(1, len(rows)):
+            pos |= rows[i] != 0
+        pos = np.flatnonzero(pos).astype(np.int32)
+        digits = np.empty((2, len(rows) // 2 + 1, pos.size), dtype=np.int16)
+        for j in range(0, pos.size, _BLOCK_CELLS):
+            cols = pos[j:j + _BLOCK_CELLS]
+            digits[:, :, j:j + _BLOCK_CELLS] = _carry(np.array(
+                [row[cols] for row in rows]).reshape(2, -1, cols.size))
+        del rows
+        keep = digits.any(axis=(0, 1))
+        d = 1 + max(np.flatnonzero(digits.any(axis=(0, 2))), default=-1)
+        return pos[keep], digits[:, :d, keep]
+
+    def _dense(self, rho: int, top: int):
+        """The int32 rows, one per digit of SUM U then of SUM V, that bin the
+        points of Q = rho (mod N) with Q < top at position Q // N."""
         aD, N = self.aD, self.N
         a, b, c = self.form
-        store = tuple(tuple(np.zeros((top - rho) // N, dtype=np.int64)
-                            for _ in range(nparts)) for _ in range(2))
+        smax = isqrt(4 * c * top // aD) + 1
+        tmax = isqrt(4 * a * top // aD) + 1
+        bound = max(_weight_bound(2 * a * smax + abs(b) * tmax, tmax, self.D,
+                                  self.ell))
+        # weights past int64 are python ints; each is cut into the fewest
+        # digits whose top one holds it (see _cut)
+        wide = bound >= 1 << 62
+        rows = [np.zeros((top - rho) // N, dtype=np.int32)
+                for _ in range(2 * _digit_count(bound))]
         s0, t0 = self._cosets(rho)
         # one row per coset and s = s0 + Ni in [-smax, smax]
-        smax = isqrt(4 * c * top // aD) + 1
         ilo = -((smax + s0) // N)
         ni = (smax - s0) // N - ilo + 1
         k = np.repeat(np.arange(s0.size), ni)
@@ -392,25 +414,16 @@ class _ThetaBank:
             if wide:
                 u, T = u.astype(object), T.astype(object)
             U, V = _weights(u, T, self.D, self.ell)
-            self._bin(store, Q // N, U, V)
-        # positions < top / N < _QMAX_LIMIT fit in int32
-        nz = store[0][0] != 0
-        for arr in store[0][1:] + store[1]:
-            nz |= arr != 0
-        pos = np.flatnonzero(nz).astype(np.int32)
-        return (pos,) + tuple(tuple(_narrow(arr[pos]) for arr in parts)
-                              for parts in store)
+            self._bin(rows, Q // N, U, V)
+        return rows
 
-    def _bin(self, store, idx, U, V):
+    def _bin(self, rows, idx, U, V):
         # np.add.at touches only the block's own bins: no scratch array spans
         # the index range, which for a block that crosses every row is most
-        # of the residue.  The python-int weights of a wide scan are cast to
-        # int64 once cut into parts
-        for arrs, w in zip(store, (U, V)):
-            for arr in arrs[:-1]:       # low 26-bit parts, then the rest
-                np.add.at(arr, idx, (w & _MASK26).astype(np.int64, copy=False))
-                w = w >> 26
-            np.add.at(arrs[-1], idx, w.astype(np.int64, copy=False))
+        # of the residue
+        count = len(rows) // 2
+        for row, digit in zip(rows, _cut(U, count) + _cut(V, count)):
+            np.add.at(row, idx, digit)
 
 
 class _SigmaStore:
@@ -453,18 +466,6 @@ class _SigmaStore:
             self.size = end
             at = self.index[ns]
         return self.rows[at]
-
-
-def _limbs(parts):
-    """(keys, A): the 16-bit limbs of int64 arrays (any values), as the
-    float64 rows of A.  Row key 4 i + j holds limb j of parts[i]: the
-    low limbs in [0, 2^16), the top one signed, in [-2^15, 2^15), and as
-    many as the largest value needs (at most four)."""
-    x = np.stack(parts)
-    top = (max(int(x.max()), ~int(x.min())).bit_length() + 16) // 16 - 1
-    limbs = [x >> 16 * j & 0xFFFF for j in range(top)] + [x >> 16 * top]
-    keys = [4 * i + j for j in range(top + 1) for i in range(len(parts))]
-    return keys, np.concatenate(limbs).astype(np.float64)
 
 
 class HeightContext:
@@ -760,8 +761,8 @@ class HeightContext:
 
         pol = delta m^(r-k-1) H(t_n) |D|^(r-k-1) is a polynomial
         sum_d c_d n^d, so a sum is sum_d c_d sum_n su (sigma(n) n^d mod p^W),
-        and each inner sum is exact: su is cut into 16-bit limbs, the top
-        one signed (_limbs), the store holds 16-bit limbs, and the limb
+        and each inner sum is exact: the bank holds su as balanced 16-bit
+        digits, the store holds 16-bit limbs, and the digit-times-limb
         products of a chunk are summed by two float64 matrix products, over
         all n and over p | n, then added up in int64 (see
         _require_sum_bounds)."""
@@ -772,11 +773,11 @@ class HeightContext:
         bank.ensure([m])
         store = self._store(class_index)
         L = store.limbs
-        # acc[0] over all n, acc[1] over p | n; row 4 q + j holds limb j of
-        # part q of (su parts, sv parts), column d L + l limb l of degree d
-        acc = np.zeros((2, 8 * bank.nparts, store.degs * L), dtype=np.int64)
+        # acc[0] over all n, acc[1] over p | n; row s d + i holds digit i of
+        # sum s (su, sv), column d' L + l limb l of degree d'
+        acc = 0
         has0 = hasp = False         # whether each part has a term
-        for ns, sus, svs in bank.series(m):
+        for ns, digits in bank.series(m):
             # one sieve and one store index for the whole index, built only
             # when a term exists
             self._ensure_spf((MD - 1) // N)
@@ -787,11 +788,10 @@ class HeightContext:
             at_p = ns % p == 0
             has0 = has0 or bool((live & ~at_p).any())
             hasp = hasp or bool((live & at_p).any())
-            keys, A = _limbs(sus + svs)
+            A = digits.astype(np.float64).reshape(-1, ns.size)
             R = rows.astype(np.float64)
-            acc[0, keys] += (A @ R).astype(np.int64)
-            if at_p.any():
-                acc[1, keys] += (A[:, at_p] @ R[at_p]).astype(np.int64)
+            prods = np.stack([A @ R, A[:, at_p] @ R[at_p]])
+            acc = acc + prods.astype(np.int64)
         if not (has0 or hasp):
             return None, None
         # pol = sum_j gam_j MD^(m_H-j) w^j with w = MD - 2Nn, in powers of n
@@ -800,10 +800,9 @@ class HeightContext:
                  for d in range(len(self._gam))]
         cols = np.array([c << 16 * l for c in coefs for l in range(L)],
                         dtype=object)
-        place = np.array([1 << 26 * i + 16 * j for i in range(bank.nparts)
-                          for j in range(4)], dtype=object)
-        ((u, v), (up, vp)) = ((acc[:, :, :cols.size].astype(object) @ cols)
-                              .reshape(2, 2, -1) @ place).tolist()
+        sums = (acc[:, :, :cols.size].astype(object) @ cols).reshape(4, -1)
+        u, v, up, vp = (sum(x << 16 * i for i, x in enumerate(row))
+                        for row in sums.tolist())
         return (((u - up) % pW, (v - vp) % pW) if has0 else None,
                 (up % pW, vp % pW) if hasp else None)
 

@@ -6,7 +6,8 @@ must be in place before the first value is computed, and act on every
 value alike).  Each implant changes one layer of the pipeline:
 
 - scan: every residue loses the first coset that _Cosets lists;
-- bank: class c^-1 reads its pair's bank with SUM V unnegated;
+- bank: every compacted residue loses its top stored digit row, of both
+  sums; class c^-1 reads its pair's bank with SUM V unnegated;
 - sigma: every prime log is doubled, so sigma is doubled;
 - class constant: the class theta constant is tripled;
 - sum: the sums over n prime to p and over p | n are swapped;
@@ -26,8 +27,8 @@ from math import comb
 import pytest
 
 from padicheights import heights
-from padicheights.heights import (HeightContext, _Cosets, bc_report,
-                                  crosscheck_report, fourier_am,
+from padicheights.heights import (HeightContext, _Cosets, _ThetaBank,
+                                  bc_report, crosscheck_report, fourier_am,
                                   fourier_am_direct)
 from padicheights.padic import PadicNumber
 
@@ -39,6 +40,16 @@ def drop_coset(monkeypatch, ctx):
     cosets = _Cosets.__call__
     monkeypatch.setattr(_Cosets, "__call__", lambda self, rho: tuple(
         a[1:] for a in cosets(self, rho)))
+
+
+def drop_top_digit(monkeypatch, ctx):
+    scan_residue = _ThetaBank._scan_residue
+
+    def faulty(self, rho, top):
+        pos, digits = scan_residue(self, rho, top)
+        return pos, digits[:, :-1]
+
+    monkeypatch.setattr(_ThetaBank, "_scan_residue", faulty)
 
 
 def unnegated_inverse(monkeypatch, ctx):
@@ -127,6 +138,7 @@ OPERATOR_FAULTS = {"h_plus_one": h_plus_one, "chi_perturb": chi_perturb,
                    "drop_euler_square": drop_euler_square}
 
 FAULTS = {"drop_coset": drop_coset,
+          "drop_top_digit": drop_top_digit,
           "unnegated_inverse": unnegated_inverse,
           "sigma_times_two": sigma_times_two,
           "class_const_times_three": class_const_times_three,
@@ -144,6 +156,10 @@ C, P = "catches", "passes"
 # fault: {field: (bc-check, crosscheck, two-path)}
 MATRIX = {
     "drop_coset": {"h1": (C, C, C), "h3": (C, C, C)},
+    # at h = 3 the two-path index 15 reads sums below 2^15 from residue 3,
+    # which bc-check's indices made two digits wide: its low digit holds
+    # them whole
+    "drop_top_digit": {"h1": (C, C, C), "h3": (C, C, P)},
     # c and c^-1 are one class at h = 1
     "unnegated_inverse": {"h1": (P, P, P), "h3": (C, C, P)},
     # a unit scaling of sigma or of the class constant scales both sides of

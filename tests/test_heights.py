@@ -153,29 +153,36 @@ def test_theta_residue_mirror_classes():
     assert list(ctx._banks) == [1]
 
 
-def _exact(parts):
-    """The python ints sum_i part_i 2^(26 i) of one sum's int64 parts (a
-    part shifted back up can pass 2^63)."""
-    return [sum(x << 26 * i for i, x in enumerate(xs))
-            for xs in zip(*(a.tolist() for a in parts))]
+def _exact(digits):
+    """The python ints sum_i digits[i] 2^(16 i) of one sum's digit rows."""
+    return [sum(x << 16 * i for i, x in enumerate(col))
+            for col in zip(*digits.tolist())]
 
 
-def _series(bank, m, sign=1):
-    """bank.series(m, sign) with its chunks concatenated; each chunk must be
-    non-empty and the n strictly increasing."""
+def _series(bank, m):
+    """bank.series(m) with its chunks concatenated; each chunk must be
+    non-empty, its digits int16 and the n strictly increasing."""
     ns, sus, svs = [], [], []
-    for chunk_ns, chunk_su, chunk_sv in bank.series(m, sign):
-        assert chunk_ns.size
+    for chunk_ns, digits in bank.series(m):
+        assert chunk_ns.size and digits.dtype == np.int16
         ns.extend(chunk_ns.tolist())
-        sus.extend(_exact(chunk_su))
-        svs.extend(_exact(chunk_sv))
+        sus.extend(_exact(digits[0]))
+        svs.extend(_exact(digits[1]))
     assert all(a < b for a, b in zip(ns, ns[1:]))
     return ns, sus, svs
 
 
 def _class_series(ctx, ci, m):
-    """Class ci's own series: its inverse pair's bank read with its sign."""
-    return _series(ctx._bank(ci), m, ctx._bank_of[ci][1])
+    """Class ci's own series: its inverse pair's bank, with SUM V negated
+    when ci is not the class the bank was scanned for."""
+    ns, sus, svs = _series(ctx._bank(ci), m)
+    sign = ctx._bank_of[ci][1]
+    return ns, sus, [sign * sv for sv in svs]
+
+
+def _digit_counts(bank):
+    """{rho: the number of digits the bank stores per sum of residue rho}."""
+    return {rho: digits.shape[1] for rho, (_, digits) in bank.arrays.items()}
 
 
 def _theta_residue(ctx, ci, su, sv):
@@ -195,8 +202,7 @@ def _theta_residues(ctx, ci, m):
 @pytest.fixture
 def split_bound(monkeypatch):
     """A check that the largest weight bound of the scans so far lies in
-    [2^51, 2^62): one int64 part cannot hold its sums, and the weights are
-    still int64."""
+    [2^51, 2^62): its weights take four digits, and they are still int64."""
     bounds = []
     real = heights._weight_bound
 
@@ -227,13 +233,12 @@ def _brute_series(form, D, ell, m, aD, level):
 
 
 def test_strided_split_bank_vs_bruteforce(split_bound):
-    # the sums of the sextic weights at this size could pass a single int64
-    # word, forcing the 26-bit split
+    # the sextic weights at this size take four digits, and so do the sums
     ctx = HeightContext(-7, 23, 11, 4, 3, n_prec=30)
     m = 2000
     ctx.prefetch([(0, m)])
     bank = ctx._bank(0)
-    assert bank.nparts == 2 and split_bound()
+    assert _digit_counts(bank) == {16: 4} and split_bound()
     ns, sus, svs = _series(bank, m)
     want = _brute_series(ctx.group.forms[0], -7, 6, m, 7, 23)
     assert dict(zip(ns, zip(sus, svs))) == want
@@ -244,20 +249,20 @@ def test_strided_direct_bank_vs_bruteforce():
     m = 2000
     ctx.prefetch([(0, m)])
     bank = ctx._bank(0)
-    assert bank.nparts == 1
+    assert _digit_counts(bank) == {16: 2}
     ns, sus, svs = _series(bank, m)
     want = _brute_series(ctx.group.forms[0], -7, 2, m, 7, 23)
     assert dict(zip(ns, zip(sus, svs))) == want
 
 
 def test_strided_wide_bank_vs_bruteforce():
-    # the ell = 14 weight bound passes 2^67 (three 26-bit parts), so the
-    # weights are computed in python ints
+    # the ell = 14 weight bound passes 2^67 (five digits), so the weights
+    # are computed in python ints
     ctx = HeightContext(-7, 23, 11, 8, 7, n_prec=30)
     m = 60
     ctx.prefetch([(0, m)])
     bank = ctx._bank(0)
-    assert bank.nparts == 3
+    assert _digit_counts(bank) == {6: 5}
     ns, sus, svs = _series(bank, m)
     want = _brute_series(ctx.group.forms[0], -7, 14, m, 7, 23)
     assert dict(zip(ns, zip(sus, svs))) == want
@@ -379,7 +384,7 @@ def test_bank_many_residues_vs_bruteforce():
     (-23, 3, 29, 2, 1), (-31, 7, 5, 2, 1),
     # h = 4: classes 1 and 2 are inverse, 0 and 3 are their own inverses
     (-55, 13, 7, 2, 1),
-    # the sextic weights of m = 500 pass the single-word range
+    # the sextic weights of m = 500 take four digits
     (-31, 7, 5, 4, 3)])
 def test_bank_every_class_vs_bruteforce(split_bound, args):
     ctx = HeightContext(*args)
@@ -389,7 +394,8 @@ def test_bank_every_class_vs_bruteforce(split_bound, args):
     # in each field class 2 is the inverse of class 1 and reads its bank
     assert ctx._bank_of[2] == (1, -1)
     assert sorted(ctx._banks) == [ci for ci in range(ctx.h) if ci != 2]
-    assert (ctx._bank(1).nparts == 2) == split == split_bound()
+    assert (max(_digit_counts(ctx._bank(1)).values()) == 4) == split \
+        == split_bound()
     for ci in range(ctx.h):
         _assert_bank_matches_brute(ctx, ci, ms)
 
@@ -415,18 +421,33 @@ def test_bank_blocks_cut_inside_cosets(monkeypatch, cells):
         _assert_bank_matches_brute(ctx, ci, ms)
 
 
-def test_bank_split_switch_rescans_held_residues(split_bound):
-    # a later index past the single-word range turns on the 26-bit split;
-    # the residues already held must be rescanned into two parts
+@pytest.fixture
+def scanned(monkeypatch):
+    """The residues that _ThetaBank._scan_residue scans, in order."""
+    rhos = []
+    real = heights._ThetaBank._scan_residue
+
+    def recording(self, rho, top):
+        rhos.append(rho)
+        return real(self, rho, top)
+
+    monkeypatch.setattr(heights._ThetaBank, "_scan_residue", recording)
+    return rhos
+
+
+def test_bank_split_switch_keeps_held_residues(split_bound, scanned):
+    # a later index whose weights take four digits opens residue 16; the
+    # residues 5 and 12 already held keep their own digit counts and are
+    # not rescanned
     ctx = HeightContext(-7, 23, 11, 4, 3)
     ctx.prefetch([(0, 50), (0, 51)])
-    assert ctx._bank(0).nparts == 1
-    ctx.prefetch([(0, 2000)])
     bank = ctx._bank(0)
-    assert bank.nparts == 2 and split_bound()
-    assert all(len(su) == len(sv) == 2 for _, su, sv in bank.arrays.values())
-    # the weights of the large index pass 2^26, so its high words are used
-    assert bank.arrays[2000 * 7 % 23][1][1].any()
+    held = dict(bank.arrays)
+    assert scanned == [5, 12] and _digit_counts(bank) == {5: 3, 12: 3}
+    ctx.prefetch([(0, 2000)])
+    assert scanned == [5, 12, 16] and split_bound()
+    assert _digit_counts(bank) == {5: 3, 12: 3, 16: 4}
+    assert all(bank.arrays[rho] is arrays for rho, arrays in held.items())
     _assert_bank_matches_brute(ctx, 0, [50, 51])
 
 
@@ -446,12 +467,14 @@ def test_bank_keeps_norms_with_only_a_v_sum(monkeypatch):
     assert len(ns) > 10
 
 
-def test_bank_words_are_int32_only_where_exact(monkeypatch):
-    # rig the weights of three norms of the one-part bank that classes 1
-    # and 2 of D = -31 share, each a single pair +-(u, v) with uv > 0:
-    # residue 5's sums reach +-(2^31 - 1), which an int32 word holds,
-    # residue 1's reach +-2^31 and residue 4's +-(2^53 + 1), which stay
-    # int64 (a float64 bin rounds the last to 2^53).  U is even and V odd in
+def test_bank_digit_counts_follow_the_largest_sum(monkeypatch):
+    # rig the weights of three norms of the bank that classes 1 and 2 of
+    # D = -31 share, each a single pair +-(u, v) with uv > 0: residue 5's
+    # sums reach +-(2^31 - 1) and residue 1's +-2^31, past the
+    # 2^31 - 2^15 - 1 that two balanced digits hold, and residue 4's
+    # +-(2^53 + 1), past three digits.  The weight bound is raised to
+    # 2^53 + 1 with them, so every weight is binned in four digits, and each
+    # residue stores the fewest that hold its sums.  U is even and V odd in
     # v, as real weights are, so the mirror class still reads SUM V negated
     ctx = HeightContext(-31, 7, 5, 2, 1)
     a = ctx.group.forms[1][0]
@@ -471,12 +494,11 @@ def test_bank_words_are_int32_only_where_exact(monkeypatch):
                         rigged(u, v, *real(u, v, D, ell)))
     monkeypatch.setitem(globals(), "_expand", lambda u, v, D, ell, e=_expand:
                         tuple(map(int, rigged(u, v, *e(u, v, D, ell)))))
+    bound = heights._weight_bound
+    monkeypatch.setattr(heights, "_weight_bound", lambda *args: tuple(
+        max(b, (1 << 53) + 1) for b in bound(*args)))
     ctx.prefetch([(1, 60), (2, 61), (1, 62)])
-    bank = ctx._bank(1)
-    assert bank.nparts == 1
-    for rho, word in ((5, np.int32), (1, np.int64), (4, np.int64)):
-        _, su, sv = bank.arrays[rho]
-        assert [arr.dtype for arr in su + sv] == [word, word], rho
+    assert _digit_counts(ctx._bank(1)) == {5: 3, 1: 3, 4: 4}
     for ci in (1, 2):
         sign = ctx._bank_of[ci][1]
         for m, j in ((60, 19), (61, 71), (62, 95)):
@@ -489,9 +511,8 @@ def test_bank_words_are_int32_only_where_exact(monkeypatch):
             got = _theta_residues(ctx, ci, m)
             assert all(got.get(n, 0) == _theta_residue(
                 ctx, ci, *want.get(n, (0, 0))) for n in range(K + 2)), (ci, m)
-            # the B/C sum cuts the extreme words into 16-bit limbs: the
-            # rigged n (263 and 261 prime to p, 260 = 0 mod p) carry
-            # nonzero sigma
+            # the B/C sum reads the extreme digits: the rigged n (263 and
+            # 261 prime to p, 260 = 0 mod p) carry nonzero sigma
             n = K - j // ctx.level
             assert ctx.sigma_res(ci, n) and (n % ctx.p == 0) == (m == 61)
             cv, bv = ctx._cb(ci, m)
@@ -499,33 +520,54 @@ def test_bank_words_are_int32_only_where_exact(monkeypatch):
                 _termwise_cb(ctx, ci, m), (ci, m)
 
 
-def test_bank_split_switch_seen_through_mirror_class(split_bound):
+def test_bank_split_switch_seen_through_mirror_class(split_bound, scanned):
     # class 2 of D = -31 reads class 1's bank with SUM V negated; its own
-    # later index turns on the split of that shared bank
+    # later index opens a four-digit residue of that shared bank, and the
+    # residues held stay as they were scanned
     ctx = HeightContext(-31, 7, 5, 4, 3)
     assert ctx._bank_of[1:] == [(1, 1), (1, -1)]
     ctx.prefetch([(2, 50), (2, 51)])
-    assert ctx._bank(2).nparts == 1
+    bank = ctx._bank(2)
+    held = dict(bank.arrays)
+    assert scanned == [3, 6] and _digit_counts(bank) == {3: 3, 6: 3}
     ctx.prefetch([(2, 500)])
-    assert list(ctx._banks) == [1] and ctx._bank(1).nparts == 2
-    assert split_bound()
+    assert list(ctx._banks) == [1] and scanned == [3, 6, 2]
+    assert _digit_counts(bank) == {2: 4, 3: 3, 6: 3} and split_bound()
+    assert all(bank.arrays[rho] is arrays for rho, arrays in held.items())
     for ci in (1, 2):
         _assert_bank_matches_brute(ctx, ci, [50, 51, 500])
 
 
 def _bank_bytes(ctx):
-    return sum(a.nbytes for bk in ctx._banks.values()
-               for pos, su, sv in bk.arrays.values() for a in (pos, *su, *sv))
+    return sum(pos.nbytes + digits.nbytes for bk in ctx._banks.values()
+               for pos, digits in bk.arrays.values())
 
 
-def test_scan_scratch_is_bounded_by_the_block():
+def test_scan_scratch_is_bounded_by_the_block(monkeypatch):
     # the operator cells of crosscheck (-7, 23, 11, 3, 2) at m = 33 reach
-    # m p^4 = 483153: a dense bank of their norms takes 4.9 MiB, and a scan
-    # that binned whole residues at once took 33 MiB of scratch on top of
-    # it.  The scan holds the dense array of the residue it bins (4.5 MiB
-    # for the largest) and fewer than 24 eight-byte words per block point
-    # (0.75 MiB for blocks of 2^12 points), which is less than the bank it
-    # fills: blocks of 2^16 points took 4.7 MiB beside a 1.1 MiB bank
+    # m p^4 = 483153: the dense digit rows of their norms take 4.9 MiB, and
+    # a scan that binned whole residues at once took 33 MiB of scratch on
+    # top of them.  The scan holds the dense rows of the residue it bins
+    # (4.5 MiB for the largest) and fewer than 24 eight-byte words per
+    # block point (0.75 MiB for blocks of 2^12 points), a sixth of those
+    # rows, and compaction carries a block of columns at a time.  The bank
+    # it fills takes 0.59 MiB, and blocks of 2^16 points took 4.7 MiB beside
+    # a 1.1 MiB bank
+    dense, fresh = [], []
+    scan, bin_ = heights._ThetaBank._scan_residue, heights._ThetaBank._bin
+
+    def noting_scan(self, rho, top):
+        fresh.append(rho)
+        return scan(self, rho, top)
+
+    def noting_bin(self, rows, idx, U, V):
+        if fresh:
+            dense.append(sum(row.nbytes for row in rows))
+            fresh.clear()
+        bin_(self, rows, idx, U, V)
+
+    monkeypatch.setattr(heights._ThetaBank, "_scan_residue", noting_scan)
+    monkeypatch.setattr(heights._ThetaBank, "_bin", noting_bin)
     ctx = HeightContext(-7, 23, 11, 3, 2)
     tracemalloc.start()
     try:
@@ -533,26 +575,24 @@ def test_scan_scratch_is_bounded_by_the_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the dense bytes of a residue: two sums of 8-byte parts per position
-    dense = [16 * bk.nparts * ((top - rho) // ctx.level)
-             for bk in ctx._banks.values() for rho, top in bk.tops.items()]
     assert sum(dense) > 4 << 20
     block = 24 * 8 * heights._BLOCK_CELLS
-    assert block < _bank_bytes(ctx)
+    assert 4 * block < max(dense)
     assert peak - _bank_bytes(ctx) < block + max(dense)
 
 
 def test_bc_report_banks_one_per_inverse_pair():
     # the prefetch of bc-check (-31, 7, 5, 2, 1) at mmax 30: classes 1 and 2
     # share one bank, and each bank keeps only its nonzero norms (dense
-    # arrays of every norm, one set per class, take 23.9 MiB), in int32
-    # words: 12 bytes per norm, 2.3 MiB (8-byte words take 3.9 MiB)
+    # arrays of every norm, one set per class, take 23.9 MiB), every sum in
+    # two int16 digits: 12 bytes per norm, 2.3 MiB (8-byte words take
+    # 3.9 MiB)
     ctx = HeightContext(-31, 7, 5, 2, 1)
     ctx.prefetch([c for ci in range(ctx.h) for m in range(1, 31)
                   for c in heights._op_pairs(ctx, ci, m)])
     assert sorted(ctx._banks) == [0, 1]
     norms = sum(pos.size for bk in ctx._banks.values()
-                for pos, _, _ in bk.arrays.values())
+                for pos, _ in bk.arrays.values())
     assert _bank_bytes(ctx) == 12 * norms
     assert _bank_bytes(ctx) < 5 << 19
 
@@ -695,15 +735,15 @@ def test_series_chunks_cut_anywhere(monkeypatch, split_bound, args, m, split):
     ctx = HeightContext(*args, n_prec=30)
     ctx.prefetch([(0, m)])
     bank = ctx._bank(0)
-    assert (bank.nparts == 2) == split == split_bound()
+    assert (_digit_counts(bank) == {16: 4}) == split == split_bound()
     chunks = list(bank.series(m))
     assert len(chunks) > 50
-    assert all(ns[-1] - ns[0] < 7 for ns, _, _ in chunks)
+    assert all(ns[-1] - ns[0] < 7 for ns, _ in chunks)
     ns, sus, svs = _series(bank, m)
     want = _brute_series(ctx.group.forms[0], ctx.D, ctx.ell, m, ctx.aD,
                          ctx.level)
     assert dict(zip(ns, zip(sus, svs))) == want
-    # m itself reads the high 26-bit parts of the split bins
+    # m itself reads the top digits of the four-digit sums
     for mm in (7, 7 * ctx.p ** 2, m):
         ctx.prefetch([(0, mm)])
         cv, bv = ctx._cb(0, mm)
@@ -730,22 +770,34 @@ def test_sigma_store_rows_are_sigma_times_powers_of_n():
 
 
 @pytest.mark.parametrize("top", [0, 1 << 15, 1 << 31, (1 << 53) - 1,
-                                 (1 << 63) - 1])
+                                 (1 << 63) - 1, 3 ** 90, 1 << 200])
 def test_limbs_rebuild_every_word(top):
-    # the limbs of a part rebuild it, the low ones in [0, 2^16), the top one
-    # in [-2^15, 2^15), so each product with a store limb is below 2^32
+    # weights of size up to top + 1 or 2^15 (int64 below 2^62, python ints
+    # past it, as the scan has them) are cut into balanced digits and
+    # binned, each bin adding up to _COUNT_BOUND of them; carried, the
+    # digits of every bin lie in [-2^15, 2^15) and rebuild its sum, and the
+    # weights 2^15 and -2^15 carry to a zero sum
     rng = random.Random(top)
-    parts = [np.array([top, -top, -top - 1 if top else 0, -1, 1, 0]
-                      + [rng.randint(-top, top) for _ in range(20)])
-             for _ in range(3)]
-    keys, A = heights._limbs(parts)
-    assert len(keys) == 3 * -(-(top.bit_length() + 1) // 16)
-    assert np.all(np.abs(A) < 1 << 16) and np.all(A >= -(1 << 15))
-    rebuilt = [[0] * parts[0].size for _ in parts]
-    for key, row in zip(keys, A.astype(np.int64).tolist()):
-        i, j = divmod(key, 4)
-        rebuilt[i] = [x + (y << 16 * j) for x, y in zip(rebuilt[i], row)]
-    assert rebuilt == [a.tolist() for a in parts]
+    ws = [top, -top, -top - 1, -1, 1, 0]
+    ws += [rng.randint(-top, top) for _ in range(200)]
+    idx = [j % 7 for j in range(len(ws))]
+    ws += [-top - 1] * heights._COUNT_BOUND + [1 << 15, -(1 << 15)]
+    idx += [7] * heights._COUNT_BOUND + [8, 8]
+    w = np.array(ws, dtype=np.int64 if top < 1 << 62 else object)
+    count = heights._digit_count(max(map(abs, ws)))
+    digits = heights._cut(w, count)
+    assert len(digits) == count
+    assert all(d.dtype == np.int32 and -(1 << 15) <= d.min() <= d.max()
+               < 1 << 15 for d in digits)
+    assert [sum(x << 16 * i for i, x in enumerate(col))
+            for col in zip(*(d.tolist() for d in digits))] == ws
+    dense = np.zeros((2 * count, 9), dtype=np.int32)
+    heights._ThetaBank._bin(None, list(dense), np.array(idx), w, -w)
+    got = heights._carry(dense.reshape(2, count, 9))
+    assert got.dtype == np.int16 and got.shape[1] == count + 1
+    sums = [sum(x for x, j in zip(ws, idx) if j == b) for b in range(9)]
+    assert sums[8] == 0 and dense[:, 8].any()
+    assert _exact(got[0]) == sums and _exact(got[1]) == [-x for x in sums]
 
 
 def test_sum_exactness_bounds_are_guarded(monkeypatch):
