@@ -138,10 +138,6 @@ def _cmd_theta(args) -> int:
         _positive(args.prec, "prec")
         char = build_char(args.disc, args.ell, "padic", p=args.p,
                           prec=args.prec)
-        if not char.ground:
-            raise UsageError(f"hypothesis chi takes values in Z_p fails: at "
-                             f"p = {args.p} the character needs the "
-                             "quadratic extension")
     elif args.mode == "complex":
         if args.p is not None:
             raise UsageError("--p applies only to padic mode")

@@ -8,8 +8,8 @@ of alpha_i^ell, where g_i^{d_i} = (alpha_i).  Values come in three modes:
   exact    elements of K itself (class number 1 only: no roots needed)
   complex  mpmath complex numbers at a fixed decimal working precision
            (the only mode that imports mpmath)
-  padic    elements of Z_p, or of its unramified quadratic extension when
-           the required root does not exist in the ground ring
+  padic    elements of Z_p; a character that needs a root off Z_p (in
+           the unramified quadratic extension) is refused
 
 The p-adic embedding sends sqrt(D) to the square root of D in Z_p whose
 residue mod p is smallest; the distinguished prime above p is the kernel
@@ -22,10 +22,9 @@ numbers (times the number of units).
 
 import contextlib
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
-from .padic import (PadicError, PadicNumber, lift_pair_root, nth_root_zp,
-                    pair_pow)
+from .padic import PadicNumber, lift_root, nth_root_zp
 from .quadfield import (KElem, class_group, class_index_of_ideal, ideal_conj,
                         ideal_mult, ideal_norm, ideal_of_form, ideal_pow,
                         ideals_of_norm, isprime, kronecker, normalize_ideal,
@@ -39,133 +38,27 @@ class CharBuildError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# the unramified quadratic extension of Q_p
+# residue roots
 
-def smallest_nonresidue(p: int) -> int:
-    for c in range(2, p):
-        if pow(c, (p - 1) // 2, p) == p - 1:
-            return c
-    raise PadicError("no quadratic nonresidue (p must be an odd prime)")
+def _residue_root(p, a, d, twist):
+    """The root of X^d = a (mod p), for a unit a, that the twist picks from
+    the roots in F_{p^2}: first those in F_p, sorted, then those off F_p.
+    A twist of 0 picks among the roots in F_p alone when there are any.
 
-
-class QuadExtValue:
-    """a + b*s with s^2 = c, the smallest quadratic nonresidue mod p.
-
-    Components are PadicNumber over the same p; arithmetic follows the
-    componentwise rules of Q_p(s).
-    """
-
-    __slots__ = ("p", "c", "a", "b")
-
-    def __init__(self, p: int, c: int, a: PadicNumber, b: PadicNumber):
-        if a.p != p or b.p != p:
-            raise PadicError("mixed primes")
-        self.p = p
-        self.c = c
-        self.a = a
-        self.b = b
-
-    @staticmethod
-    def from_ground(x: PadicNumber, c: int) -> "QuadExtValue":
-        return QuadExtValue(x.p, c, x, PadicNumber.zero(x.p))
-
-    def is_ground(self) -> bool:
-        return self.b.is_zero()
-
-    def ground(self) -> PadicNumber:
-        if not self.b.is_zero():
-            raise PadicError("value is not in the ground ring")
-        return self.a
-
-    def _chk(self, o: "QuadExtValue"):
-        if self.p != o.p or self.c != o.c:
-            raise PadicError("mixed extensions")
-
-    def __add__(self, o):
-        if isinstance(o, QuadExtValue):
-            self._chk(o)
-            return QuadExtValue(self.p, self.c, self.a + o.a, self.b + o.b)
-        return QuadExtValue(self.p, self.c, self.a + o, self.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadExtValue(self.p, self.c, -self.a, -self.b)
-
-    def __sub__(self, o):
-        return self + (-o)
-
-    def __rsub__(self, o):
-        return (-self) + o
-
-    def __mul__(self, o):
-        if isinstance(o, QuadExtValue):
-            self._chk(o)
-            return QuadExtValue(self.p, self.c,
-                                self.a * o.a + self.c * (self.b * o.b),
-                                self.a * o.b + self.b * o.a)
-        return QuadExtValue(self.p, self.c, self.a * o, self.b * o)
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "QuadExtValue":
-        return QuadExtValue(self.p, self.c, self.a, -self.b)
-
-    def norm(self) -> PadicNumber:
-        return self.a * self.a - self.c * (self.b * self.b)
-
-    def inv(self) -> "QuadExtValue":
-        return self.conj() * self.norm().inv()
-
-    def __truediv__(self, o):
-        if isinstance(o, QuadExtValue):
-            return self * o.inv()
-        return QuadExtValue(self.p, self.c, self.a / o, self.b / o)
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int):
-            return NotImplemented
-        if e < 0:
-            return self.inv() ** (-e)
-        if e == 0:
-            return QuadExtValue.from_ground(
-                PadicNumber(self.p, 0, 1, max(self.a.prec, self.b.prec, 1)),
-                self.c)
-        base, r = self, None
-        while e:
-            if e & 1:
-                r = base if r is None else r * base
-            e >>= 1
-            if e:
-                base = base * base
-        return r
-
-    def __eq__(self, o):
-        if isinstance(o, QuadExtValue):
-            self._chk(o)
-            return self.a == o.a and self.b == o.b
-        return self.a == o and self.b == 0
-
-    __hash__ = None
-
-    def to_json(self) -> dict:
-        return {"a": self.a.to_json(), "b": self.b.to_json(),
-                "nonresidue": self.c}
-
-    def __repr__(self):
-        return f"({self.a!r}) + ({self.b!r})*s"
-
-
-def _residue_root(p, c, a, d, twist):
-    """The root of X^d = a in F_{p^2}, as a residue pair, that the twist
-    picks from the ground roots then the others, each branch sorted; None
-    when there is none.  The roots off F_p are listed only when a twist or
-    a missing ground root needs them."""
-    roots = [(r, 0) for r in range(1, p) if pow(r, d, p) == a % p]
-    if twist or not roots:
-        roots += sorted((r, b) for b in range(1, p) for r in range(p)
-                        if pair_pow((r, b), d, c, p) == (a % p, 0))
-    return roots[twist % len(roots)] if roots else None
+    Returns the root in F_p; 0 (never a root) when the pick lies off F_p;
+    None when there is no root.  The roots off F_p are only counted: the
+    group F_{p^2}^* is cyclic of order p^2 - 1, so X^d = a has
+    g = gcd(d, p^2 - 1) roots there when a^((p^2 - 1)/g) = 1, and none
+    otherwise."""
+    roots = [r for r in range(1, p) if pow(r, d, p) == a % p]
+    if roots and not twist:
+        return roots[0]
+    q = p * p - 1
+    g = gcd(d, q)
+    if pow(a, q // g, p) != 1:
+        return None
+    i = twist % g
+    return roots[i] if i < len(roots) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +103,8 @@ class HeckeChar:
     class.
     """
 
-    def __init__(self, D, ell, mode, group, p, prec, s_D, nonres, gen_roots,
-                 prime_above, ground, audit):
+    def __init__(self, D, ell, mode, group, p, prec, s_D, gen_roots,
+                 prime_above, audit):
         self.D = D
         self.ell = ell
         self.k = ell // 2
@@ -220,10 +113,8 @@ class HeckeChar:
         self.p = p
         self.prec = prec
         self.s_D = s_D
-        self.nonres = nonres
         self._gen_roots = gen_roots
         self.prime_above = prime_above
-        self.ground = ground
         self.audit = audit
 
     def _ctx(self):
@@ -241,8 +132,7 @@ class HeckeChar:
             import mpmath
             with self._ctx():
                 return mpmath.mpc(1)
-        v = PadicNumber(self.p, 0, 1, self.prec)
-        return v if self.ground else QuadExtValue.from_ground(v, self.nonres)
+        return PadicNumber(self.p, 0, 1, self.prec)
 
     def zero(self):
         if self.mode == "exact":
@@ -251,8 +141,7 @@ class HeckeChar:
             import mpmath
             with self._ctx():
                 return mpmath.mpc(0)
-        v = PadicNumber.zero(self.p)
-        return v if self.ground else QuadExtValue.from_ground(v, self.nonres)
+        return PadicNumber.zero(self.p)
 
     def embed(self, g: KElem):
         """The mode's image of an element x + y*sqrt(D) of K."""
@@ -265,9 +154,8 @@ class HeckeChar:
                 x = mpmath.mpf(g.x.numerator) / g.x.denominator
                 y = mpmath.mpf(g.y.numerator) / g.y.denominator
                 return mpmath.mpc(x, y * sq)
-        v = (PadicNumber.from_rational(self.p, g.x, self.prec)
-             + PadicNumber.from_rational(self.p, g.y, self.prec) * self.s_D)
-        return v if self.ground else QuadExtValue.from_ground(v, self.nonres)
+        return (PadicNumber.from_rational(self.p, g.x, self.prec)
+                + PadicNumber.from_rational(self.p, g.y, self.prec) * self.s_D)
 
     def close(self, u, v, scale=1) -> bool:
         """Mode-appropriate equality: exact/padic compare directly, complex
@@ -337,7 +225,6 @@ def build_char(D, ell, mode, p=None, prec=None, twist=None):
         raise CharBuildError(
             f"exact mode requires class number 1, got h = {G.h}")
     s_D = None
-    nonres = None
     if mode == "padic":
         if p is None or p == 2 or not isprime(p):
             raise CharBuildError("padic mode needs an odd prime p")
@@ -345,7 +232,6 @@ def build_char(D, ell, mode, p=None, prec=None, twist=None):
             raise CharBuildError(f"p = {p} does not split in Q(sqrt({D}))")
         prec = 30 if prec is None else prec
         s_D = PadicNumber(p, 0, nth_root_zp(p, D, 2, prec), prec)
-        nonres = smallest_nonresidue(p)
     elif mode == "complex":
         prec = 40 if prec is None else prec
     else:
@@ -353,10 +239,10 @@ def build_char(D, ell, mode, p=None, prec=None, twist=None):
     if twist is not None and len(twist) != len(G.generators):
         raise CharBuildError("twist needs one entry per class-group generator")
 
-    raw_roots = []
+    gen_roots = []
     powers = []                 # (alpha^ell in the mode, N(alpha))
     audit = []
-    ground = True
+    off_zp = False              # some generator's root lies off Z_p
     for idx, (gi, di) in enumerate(G.generators):
         gen_ideal = ideal_of_form(D, G.forms[gi])
         ng = ideal_norm(gen_ideal)
@@ -379,7 +265,7 @@ def build_char(D, ell, mode, p=None, prec=None, twist=None):
                              mpmath.nstr(root.imag, 25)]
             with mpmath.workdps(prec):
                 ngl = mpmath.mpf(1) / (ng ** ell)
-            raw_roots.append((gen_ideal, root, ngl))
+            gen_roots.append((gen_ideal, root, ngl))
             powers.append((target, alpha.norm()))
         else:
             if ng % p == 0:
@@ -391,30 +277,29 @@ def build_char(D, ell, mode, p=None, prec=None, twist=None):
             a_emb = (PadicNumber.from_rational(p, alpha.x, prec)
                      + PadicNumber.from_rational(p, alpha.y, prec) * s_D) ** ell
             a_int = a_emb.residue(prec)
-            x0 = _residue_root(p, nonres, a_int, di, t_i)
+            x0 = _residue_root(p, a_int, di, t_i)
             if x0 is None:
                 raise CharBuildError(
                     f"no root: X^{di} = {a_int % p} (mod {p}) has no "
                     f"solution in F_(p^2); chi on the class-group "
                     f"generator of index {gi} cannot take values in Z_{p} "
                     f"or its unramified quadratic extension")
-            pair = lift_pair_root(p, nonres, x0, a_int, di, prec)
-            if pair[1] != 0:
-                ground = False
-            entry["root"] = [str(pair[0]), str(pair[1])]
-            raw_roots.append((gen_ideal, pair, Fraction(1, ng ** ell)))
+            if not x0:
+                # refused after the loop, so that a later generator's
+                # refusal above still comes first
+                off_zp = True
+                continue
+            x = lift_root(p, x0, a_int, di, prec)
+            # the same two-entry shape as a complex root
+            entry["root"] = [str(x), "0"]
+            gen_roots.append((gen_ideal, PadicNumber(p, 0, x, prec),
+                              Fraction(1, ng ** ell)))
             powers.append((a_emb, alpha.norm()))
         audit.append(entry)
-
-    gen_roots = raw_roots
-    if mode == "padic":
-        # wrap int-pair roots now that the ground ring is known
-        gen_roots = []
-        for gen_ideal, pair, ngl in raw_roots:
-            a_c = PadicNumber(p, 0, pair[0], prec)
-            b_c = PadicNumber(p, 0, pair[1], prec)
-            root = a_c if ground else QuadExtValue(p, nonres, a_c, b_c)
-            gen_roots.append((gen_ideal, root, ngl))
+    if off_zp:
+        raise CharBuildError(f"hypothesis chi takes values in Z_p fails: at "
+                             f"p = {p} the character needs the quadratic "
+                             "extension")
 
     prime_above = None
     if mode == "padic":
@@ -423,8 +308,8 @@ def build_char(D, ell, mode, p=None, prec=None, twist=None):
             b += p
         prime_above = normalize_ideal(D, 1, p, b)
 
-    char = HeckeChar(D, ell, mode, G, p, prec, s_D, nonres, gen_roots,
-                     prime_above, ground, audit)
+    char = HeckeChar(D, ell, mode, G, p, prec, s_D, gen_roots, prime_above,
+                     audit)
 
     # sanity: stored roots actually solve chi(g)^d = alpha^ell
     with char._ctx():

@@ -507,8 +507,6 @@ class HeightContext:
                                   twist=twist)
         except CharBuildError as e:
             raise HeightError(f"theta character unavailable: {e}") from e
-        if not self.chi.ground:
-            raise HeightError("theta character takes values outside Z_p")
         self.group = self.chi.group
         self.h = self.group.h
         self.ell = 2 * k

@@ -317,54 +317,30 @@ def iwasawa_log(p: int, x, N: int) -> PadicNumber:
 
 
 # ---------------------------------------------------------------------------
-# Hensel root lifting, in Z_p and in its unramified quadratic extension
-#
-# A residue pair (x0, x1) mod p^k stands for x0 + x1 s with s^2 = c; the
-# ground ring is the case x1 = 0, on which c plays no part.
+# Hensel root lifting in Z_p
 
-def _pair_mul(x, y, c, mod):
-    return ((x[0] * y[0] + c * x[1] * y[1]) % mod,
-            (x[0] * y[1] + x[1] * y[0]) % mod)
-
-
-def pair_pow(x, e, c, mod):
-    """x^e for a pair x reduced mod mod."""
-    if not x[1]:            # a ground element: powers stay in Z_p
-        return pow(x[0], e, mod), 0
-    r = (1, 0)
-    while e:
-        if e & 1:
-            r = _pair_mul(r, x, c, mod)
-        e >>= 1
-        if e:
-            x = _pair_mul(x, x, c, mod)
-    return r
-
-
-def lift_pair_root(p, c, x, a, d, N):
-    """Newton-lift the simple residue root x (a pair mod p) of X^d - a to
-    a pair mod p^N; a is an integer unit.  A lift that ends in no root
-    raises PadicError."""
+def lift_root(p, x, a, d, N):
+    """Newton-lift the simple residue root x of X^d - a mod p to a root mod
+    p^N; a is an integer unit.  A lift that ends in no root raises
+    PadicError."""
     mod, target = p, p ** N
     while mod < target:
         mod = min(mod * mod, target)
-        # x - (x^d - a) / (d x^(d-1)) = ((d-1) x N(y) + a conj(y)) / (d N(y))
-        # with y = x^(d-1)
-        y0, y1 = pair_pow(x, d - 1, c, mod)
-        n = (y0 * y0 - c * y1 * y1) % mod
-        inv = pow(d * n, -1, mod)
-        x = (((d - 1) * x[0] * n + a * y0) * inv % mod,
-             ((d - 1) * x[1] * n - a * y1) * inv % mod)
-    if pair_pow(x, d, c, target) != (a % target, 0):
+        # x - (x^d - a) / (d x^(d-1)) = ((d-1) x^d + a) / (d x^(d-1))
+        y = pow(x, d - 1, mod)
+        x = ((d - 1) * x * y + a) * pow(d * y, -1, mod) % mod
+    if pow(x, d, target) != a % target:
         raise PadicError("root lift failed (bug)")
     return x
 
 
 def nth_root_zp(p: int, a: int, d: int, N: int):
-    """Smallest d-th root of the unit a in Z_p mod p^N, or None.
+    """The d-th root of the unit a in Z_p, mod p^N, that lifts the smallest
+    root of X^d - a mod p; None when there is no root mod p.
 
-    Scans residues mod p for simple roots of X^d - a and Newton-lifts.
-    Raises when only non-simple roots exist (p | d with a root present).
+    That lift need not be the smallest root mod p^N: at p = 7, a = 16,
+    N = 2 it is 45, not 4.  Raises when the roots mod p are not simple
+    (p | d with a root present).
     """
     if a % p == 0:
         raise PadicError("root extraction needs a unit")
@@ -373,7 +349,7 @@ def nth_root_zp(p: int, a: int, d: int, N: int):
         return None
     if d % p == 0:
         raise PadicError(f"roots of X^{d} - {a % p} mod {p} are not simple")
-    return lift_pair_root(p, 0, (roots[0], 0), a, d, N)[0]
+    return lift_root(p, roots[0], a, d, N)
 
 
 # ---------------------------------------------------------------------------

@@ -886,6 +886,7 @@ def admissible_params(D: int, p: int | None = None,
 def _zp_char_exists(D: int, p: int, ell: int) -> bool:
     from . import heckechar
     try:
-        return heckechar.build_char(D, ell, mode="padic", p=p, prec=8).ground
+        heckechar.build_char(D, ell, mode="padic", p=p, prec=8)
     except heckechar.CharBuildError:
         return False
+    return True

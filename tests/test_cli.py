@@ -125,6 +125,19 @@ def test_theta_padic_outside_zp(capsys, fmt):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_height_context_outside_zp(capsys):
+    # the same refusal as theta's, named by build_char, for every command
+    # that builds a height context
+    code, out, err = run_cli(capsys, "bc-check", "--disc", "-55", "--level",
+                             "7", "--p", "13", "--r", "2", "--k", "1",
+                             "--mmax", "1", "--prec", "10")
+    assert code == 2
+    assert out == ""
+    assert err == ("padicheights: theta character unavailable: hypothesis "
+                   "chi takes values in Z_p fails: at p = 13 the character "
+                   "needs the quadratic extension\n")
+
+
 @pytest.mark.parametrize("extra", [
     ("--mode", "complex", "--prec", "-5"),
     ("--mode", "complex", "--prec", "0"),

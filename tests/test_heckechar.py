@@ -10,10 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicheights.heckechar import (CharBuildError, CoeffSeries,
-                                    QuadExtValue, build_char,
-                                    lattice_theta_coeffs, smallest_nonresidue,
-                                    theta_coeffs)
-from padicheights.padic import PadicNumber
+                                    _residue_root, build_char,
+                                    lattice_theta_coeffs, theta_coeffs)
 from padicheights.quadfield import (KElem, class_index_of_ideal,
                                     count_rA, discriminant_factorizations,
                                     element_in_ideal, ideal_conj, ideal_mult,
@@ -80,15 +78,18 @@ def test_build_is_deterministic():
     assert c1.audit == c2.audit
 
 
-# (ground, audit, str(s_D)) of every padic build_char of the sweep below, or
-# the message it was refused with, hashed in order; recorded before the root
-# lift of build_char moved into padic.lift_pair_root
+# (audit, str(s_D)) of every padic build_char of the sweep below, or the
+# message it was refused with, hashed in order; recorded when characters
+# with values off Z_p began to be refused, which left the other 2584 lines
+# unchanged
 _CHAR_SWEEP_SHA256 = (
-    "c5dbea0cfeb463e6ebbcecdb133a1e0f89425a2793c2472f7d1a9d55fd964d6e")
+    "4430155a10a47925545b0878df5c605d3b9c3f2ae500bcad9c5111a7d7764383")
+
+_OFF_ZP = "hypothesis chi takes values in Z_p fails: at p = "
 
 
 def test_build_char_sweep_is_pinned():
-    # 2730 cases, 146 of them extension-valued
+    # 2730 cases, 146 of them refused as extension-valued
     h = hashlib.sha256()
     cases = ext = 0
     for D in (-7, -15, -23, -31, -39, -47, -51, -55, -59, -71, -87, -95,
@@ -99,14 +100,50 @@ def test_build_char_sweep_is_pinned():
                     try:
                         ch = build_char(D, ell, "padic", p=p, prec=40,
                                         twist=twist)
-                        out = (ch.ground, ch.audit, str(ch.s_D))
-                        ext += not ch.ground
+                        out = (ch.audit, str(ch.s_D))
                     except ValueError as e:
                         out = (type(e).__name__, str(e))
+                        ext += str(e).startswith(_OFF_ZP)
                     cases += 1
                     h.update(repr(((D, p, ell, twist), out)).encode())
     assert (cases, ext) == (2730, 146)
     assert h.hexdigest() == _CHAR_SWEEP_SHA256
+
+
+def _fp2_roots(p, d):
+    """Oracle: the roots of X^d = a in F_{p^2} = F_p(s), s^2 = c for the
+    smallest nonresidue c, by enumeration; a -> the roots in F_p, sorted,
+    then the roots off F_p as sorted pairs (x, y) for x + y s."""
+    c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+    roots = {a: [] for a in range(1, p)}
+    for x, y in sorted((x, y) for x in range(p) for y in range(p)):
+        u, v = 1, 0
+        for _ in range(d):
+            u, v = (u * x + c * v * y) % p, (u * y + v * x) % p
+        if u and not v:
+            roots[u].append((x, y))
+    return {a: sorted(r, key=lambda xy: (xy[1] != 0, xy))
+            for a, r in roots.items()}
+
+
+def test_residue_root_matches_fp2_enumeration():
+    # the pick among the enumerated roots: in F_p alone at twist 0 when
+    # there is one, else among all; 0 marks a pick off F_p
+    cases = 0
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59):
+        for d in range(1, 13):
+            for a, roots in _fp2_roots(p, d).items():
+                ground = [r for r in roots if not r[1]]
+                for twist in range(13):
+                    listed = ground if ground and not twist else roots
+                    want = None
+                    if listed:
+                        x, y = listed[twist % len(listed)]
+                        want = 0 if y else x
+                    assert _residue_root(p, a, d, twist) == want, (p, a, d,
+                                                                   twist)
+                    cases += 1
+    assert cases == 65832
 
 
 def test_complex_root_verifies_cube():
@@ -116,58 +153,6 @@ def test_complex_root_verifies_cube():
     alpha = principal_generator(-23, ideal_pow(-23, gen_ideal, 3))
     with mpmath.workdps(ch.prec):
         assert ch.close(root ** 3, ch.embed(alpha) ** 2, scale=4)
-
-
-# ---------------------------------------------------------------------------
-# QuadExtValue arithmetic
-
-def one(p, prec):
-    return PadicNumber(p, 0, 1, prec)
-
-
-def test_quadext_arithmetic():
-    p, prec = 7, 12
-    c = smallest_nonresidue(p)
-    s = QuadExtValue(p, c, PadicNumber.zero(p, prec), one(p, prec))
-    assert s * s == c
-    x = QuadExtValue(p, c, PadicNumber(p, 0, 2, prec), PadicNumber(p, 0, 5, prec))
-    assert x + 3 == QuadExtValue(p, c, PadicNumber(p, 0, 5, prec),
-                                 PadicNumber(p, 0, 5, prec))
-    assert x - x == 0
-    assert (x * x.inv()) == 1
-    assert x * x.conj() == x.norm()
-    assert x ** 3 == x * x * x
-    assert x ** 0 == 1
-    assert (x ** -2) * x ** 2 == 1
-    assert x.conj().conj() == x
-    assert not x.is_ground()
-    assert QuadExtValue.from_ground(one(p, prec), c).ground() == 1
-    with pytest.raises(Exception):
-        x.ground()
-    d = x.to_json()
-    assert d["nonresidue"] == c and "a" in d and "b" in d
-
-
-def test_quadext_division_by_ground():
-    # a ground divisor (an int or a PadicNumber) divides each component
-    p, prec = 5, 10
-    c = smallest_nonresidue(p)
-    x = QuadExtValue(p, c, PadicNumber(p, 0, 3, prec),
-                     PadicNumber(p, 1, 4, prec))
-    for o in (2, PadicNumber(p, 0, 2, prec), PadicNumber(p, 1, 7, prec)):
-        q = x / o
-        assert isinstance(q, QuadExtValue)
-        assert q * o == x
-        assert q == x * QuadExtValue.from_ground(one(p, prec) / o, c)
-    assert (x / 2).b.valuation() == 1
-    assert (x / PadicNumber(p, 1, 7, prec)).a.valuation() == -1
-
-
-def test_smallest_nonresidue():
-    assert smallest_nonresidue(3) == 2
-    assert smallest_nonresidue(7) == 3
-    assert smallest_nonresidue(11) == 2
-    assert smallest_nonresidue(29) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -345,17 +330,13 @@ def test_lattice_invariant_under_representative_choice():
             assert ch.close(a.coeff(n), b.coeff(n), scale=n)
 
 
-def test_extension_valued_char_keeps_identity():
+def test_extension_valued_char_is_refused():
     # order-4 generator, p = 5: the fourth root lives outside Z_5
-    ch = char(-39, 2, "padic", 5, 10)
-    assert not ch.ground
-    assert isinstance(ch.chi_value(ideal_of_form(-39, ch.group.forms[1])),
-                      QuadExtValue)
-    G = ch.group
-    for ci in range(G.h):
-        lat = lattice_theta_coeffs(ch, ideal_of_form(-39, G.forms[ci]), 40)
-        for n in range(1, 41):
-            assert lat.coeff(n) == ch.r_chi(ci, n) * 2
+    with pytest.raises(CharBuildError) as e:
+        build_char(-39, 2, "padic", p=5, prec=10)
+    assert str(e.value) == (
+        "hypothesis chi takes values in Z_p fails: at p = 5 the character "
+        "needs the quadratic extension")
 
 
 def test_triangle_bound_complex():

@@ -12,9 +12,8 @@ from padicheights.padic import (
     PadicNumber,
     epsilon_A,
     iwasawa_log,
-    lift_pair_root,
+    lift_root,
     nth_root_zp,
-    pair_pow,
     sigma_A,
     teichmuller,
 )
@@ -259,7 +258,7 @@ def test_nth_root_zp():
 def test_nth_root_zp_sweep_is_pinned():
     # every root, None or refusal message over small p, d and a at three
     # precisions, hashed in order; recorded before nth_root_zp lifted its
-    # root with padic.lift_pair_root
+    # root with a shared Newton lift
     h = hashlib.sha256()
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
         for d in (2, 3, 4, 6):
@@ -274,20 +273,17 @@ def test_nth_root_zp_sweep_is_pinned():
         "9e165898ca02b6a1139c7bc395d42cac3f4a1d43f6d0dc00b6e6b51a42b76783")
 
 
-def test_lift_pair_root_in_the_extension():
-    # 3 is no square mod 7: with s^2 = 3 its square roots are +-s, off Z_7
-    p, c, N = 7, 3, 12
+def test_lift_root_in_zp():
+    p, N = 7, 12
     mod = p ** N
-    assert lift_pair_root(p, c, (0, 1), 3, 2, N) == (0, 1)
-    # a square root off Z_7 and a cube root in it (2^3 = 1 mod 7), each
-    # congruent to its residue root
-    for x0, a, d in (((0, 1), 3 + 7 ** 5, 2), ((2, 0), 1 + 7 ** 3, 3)):
-        x = lift_pair_root(p, c, x0, a, d, N)
-        assert (x[0] - x0[0]) % p == 0 and (x[1] - x0[1]) % p == 0
-        assert pair_pow(x, d, c, mod) == (a % mod, 0)
+    # a cube root in Z_7 (2^3 = 1 mod 7), congruent to its residue root
+    a = 1 + 7 ** 3
+    x = lift_root(p, 2, a, 3, N)
+    assert x % p == 2
+    assert pow(x, 3, mod) == a % mod
     # 3 is no cube mod 7: lifting from 1 raises instead of returning
     with pytest.raises(PadicError, match="root lift failed"):
-        lift_pair_root(p, c, (1, 0), 3, 3, N)
+        lift_root(p, 1, 3, 3, N)
 
 
 def test_padic_sqrt_random():
