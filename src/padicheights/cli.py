@@ -152,7 +152,7 @@ def _cmd_theta(args) -> int:
     series = theta_coeffs(char, args.class_index, args.bound)
 
     if args.mode == "exact":
-        coeffs = [{"x": _rat(v.x), "y": _rat(v.y)} for v in series.values]
+        coeffs = [{"x": _rat(v.x), "y": _rat(v.y)} for v in series]
         csv_head = ("n", "x", "y")
         csv_rows = [(n, c["x"], c["y"])
                     for n, c in enumerate(coeffs, start=1)]
@@ -160,12 +160,12 @@ def _cmd_theta(args) -> int:
         from mpmath import nstr, workdps
         with workdps(args.prec):
             coeffs = [{"re": nstr(v.real, args.prec),
-                       "im": nstr(v.imag, args.prec)} for v in series.values]
+                       "im": nstr(v.imag, args.prec)} for v in series]
         csv_head = ("n", "re", "im")
         csv_rows = [(n, c["re"], c["im"])
                     for n, c in enumerate(coeffs, start=1)]
     else:
-        coeffs = [v.to_json() for v in series.values]
+        coeffs = [v.to_json() for v in series]
         csv_head = ("n", "p", "val", "unit", "prec")
         csv_rows = [(n, c["p"], c["val"], c["unit"], c["prec"])
                     for n, c in enumerate(coeffs, start=1)]

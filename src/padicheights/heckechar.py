@@ -62,36 +62,6 @@ def _residue_root(p, a, d, twist):
 
 
 # ---------------------------------------------------------------------------
-# coefficient container
-
-class CoeffSeries:
-    """Coefficients c(1), ..., c(bound) of a q-series, 1-based access."""
-
-    __slots__ = ("bound", "values")
-
-    def __init__(self, bound: int, values):
-        values = list(values)
-        if bound < 1 or len(values) != bound:
-            raise ValueError("bound/values length mismatch")
-        self.bound = bound
-        self.values = values
-
-    def coeff(self, n: int):
-        if not 1 <= n <= self.bound:
-            raise IndexError(f"coefficient index {n} out of range")
-        return self.values[n - 1]
-
-    def __len__(self):
-        return self.bound
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __repr__(self):
-        return f"CoeffSeries({self.bound}, {self.values!r})"
-
-
-# ---------------------------------------------------------------------------
 # the character
 
 class HeckeChar:
@@ -324,12 +294,11 @@ def build_char(D, ell, mode, p=None, prec=None, twist=None):
 # ---------------------------------------------------------------------------
 # theta coefficients
 
-def theta_coeffs(char: HeckeChar, class_index: int, bound: int) -> CoeffSeries:
-    """r_chi(class, n) for n = 1..bound."""
+def theta_coeffs(char: HeckeChar, class_index: int, bound: int) -> list:
+    """r_chi(class, n) for n = 1..bound, at index n - 1."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    return CoeffSeries(bound, [char.r_chi(class_index, n)
-                               for n in range(1, bound + 1)])
+    return [char.r_chi(class_index, n) for n in range(1, bound + 1)]
 
 
 def lattice_points_by_norm(D, ideal, bound):
@@ -350,9 +319,10 @@ def lattice_points_by_norm(D, ideal, bound):
     return out
 
 
-def lattice_theta_coeffs(char: HeckeChar, ideal, bound: int) -> CoeffSeries:
+def lattice_theta_coeffs(char: HeckeChar, ideal, bound: int) -> list:
     """chi(ideal-bar)^(-1) * sum of x-bar^ell over lattice points of each
-    norm ratio n, by direct enumeration; equals (#units) * r_chi termwise."""
+    norm ratio n = 1..bound (at index n - 1), by direct enumeration; equals
+    (#units) * r_chi termwise."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     D = char.D
@@ -367,4 +337,4 @@ def lattice_theta_coeffs(char: HeckeChar, ideal, bound: int) -> CoeffSeries:
             for xbar in pts[n]:
                 acc = acc + xbar ** char.ell
             values.append(char.embed(acc) * inv)
-    return CoeffSeries(bound, values)
+    return values

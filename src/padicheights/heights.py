@@ -58,7 +58,7 @@ from .quadfield import (class_index_of_ideal, class_norm, count_rA,
 GUARD = 10
 # crude but provable bound on the number of lattice points of a given norm
 # (2 * sum over divisors of |kronecker| <= 2 * d(n), and d(n) < 2^11 for
-# n < 10^9, which _ThetaBank._scan enforces through _QMAX_LIMIT).  A bin
+# n < 10^9, which _require_norm_bound enforces through _QMAX_LIMIT).  A bin
 # adds one balanced 16-bit digit of the weight of each point of its norm, so
 # its partial sums are of size <= _COUNT_BOUND * 2^15 = 2^27: no int32 bin
 # overflows
@@ -91,6 +91,13 @@ def _require_sum_bounds(K: int):
 
 class HeightError(ValueError):
     pass
+
+
+def _require_norm_bound(qmax: int):
+    """The bound on the lattice norms a bank may scan (see _COUNT_BOUND)."""
+    if qmax >= _QMAX_LIMIT:
+        raise HeightError(f"lattice norms up to {qmax} exceed the "
+                          f"exactness bound {_QMAX_LIMIT}")
 
 
 def _require_index(m):
@@ -320,10 +327,7 @@ class _ThetaBank:
     # -- internals ------------------------------------------------------------
 
     def _scan(self, tops):
-        qmax = max(tops.values())
-        if qmax >= _QMAX_LIMIT:
-            raise HeightError(f"lattice norms up to {qmax} exceed the "
-                              f"exactness bound {_QMAX_LIMIT}")
+        _require_norm_bound(max(tops.values()))
         # a residue keeps its arrays unless its top grew
         self.arrays = {rho: self.arrays[rho] if top == self.tops.get(rho)
                        else self._scan_residue(rho, top)
@@ -896,6 +900,8 @@ def bc_residual(ctx: HeightContext, class_index: int, m: int) -> int:
 def bc_report(ctx: HeightContext, m_max: int) -> dict:
     """Residuals of the B/C operator identity over all classes and
     1 <= m <= m_max, as a JSON-ready verification report."""
+    # every bank's largest top, known before any cell is listed
+    _require_norm_bound(m_max * ctx.p ** 4 * ctx.aD)
     cells = [(ci, m) for ci in range(ctx.h) for m in range(1, m_max + 1)]
     pre = []
     for ci, m in cells:

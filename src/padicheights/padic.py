@@ -246,16 +246,6 @@ class PadicNumber:
         return {"p": self.p, "val": self.val if self.val < EXACT else "exact-zero",
                 "unit": ",".join(digits), "prec": self.prec}
 
-    @staticmethod
-    def from_json(d: dict) -> "PadicNumber":
-        if d["val"] == "exact-zero":
-            return PadicNumber.zero(d["p"])
-        u = 0
-        digits = [int(x) for x in d["unit"].split(",")] if d["unit"] else []
-        for dig in reversed(digits):
-            u = u * d["p"] + dig
-        return PadicNumber(d["p"], d["val"], u, d["prec"])
-
 
 # ---------------------------------------------------------------------------
 # Teichmuller lifts and the Iwasawa logarithm

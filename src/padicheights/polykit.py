@@ -121,14 +121,6 @@ class RationalPoly:
             raise PolyError("non-exact polynomial division")
         return RationalPoly(q)
 
-    def as_strings(self) -> list:
-        """Coefficients as "num/den" strings (JSON form)."""
-        return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
-
-    @staticmethod
-    def from_strings(strs) -> "RationalPoly":
-        return RationalPoly([Fraction(s) for s in strs])
-
     def __eq__(self, o):
         if isinstance(o, (int, Fraction)):
             o = _as_poly(o)

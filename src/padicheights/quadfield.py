@@ -313,14 +313,8 @@ class KElem:
             return o
         return KElem(self.D, o, 0)
 
-    def conj(self) -> "KElem":
-        return KElem(self.D, self.x, -self.y)
-
     def norm(self) -> Fraction:
         return self.x * self.x - self.D * self.y * self.y
-
-    def trace(self) -> Fraction:
-        return 2 * self.x
 
     def inv(self) -> "KElem":
         n = self.norm()
@@ -536,13 +530,6 @@ class ClassGroup:
             i = self.mult(i, i)
             e >>= 1
         return r
-
-    def order(self, i: int) -> int:
-        r, n = i, 1
-        while r != self.identity:
-            r = self.mult(r, i)
-            n += 1
-        return n
 
     def _decompose(self):
         """Cyclic decomposition: generators g_i with orders d_1 | ... pattern
@@ -766,39 +753,6 @@ def count_rA(D: int, class_index: int, n) -> int:
     if n != int(n) or n <= 0:
         return 0
     return sum(1 for (_, ci) in ideals_of_norm(D, int(n)) if ci == class_index)
-
-
-def prime_ideal_above(D: int, p: int):
-    """The two (or one) prime ideals above p, as normalized ideal tuples.
-
-    split: [P, P-bar]; ramified: [P]; inert: [(1, p^2? ...)] -- inert primes
-    have no ideal of norm p, so the scalar ideal (p) is returned.
-    """
-    st = split_type(D, p)
-    if st == "inert":
-        return [(p, 1, 1)]
-    prims = primitive_ideals_of_norm(D, p)
-    return prims
-
-
-def ramified_ideal(D: int, D1: int):
-    """The ramified ideal of norm |D1| for a discriminant factor D1 of D.
-
-    D = D1 * D2 with both factors = 1 mod 4 (one of +-m for each odd m | D).
-    D1 = 1 gives the unit ideal; the square of the result is the scalar
-    ideal (|D1|).
-    """
-    if D1 == 1:
-        return unit_ideal(D)
-    if D % D1 != 0 or D1 % 4 != 1:
-        raise QuadFieldError("D1 must be a discriminant divisor of D")
-    m = abs(D1)
-    ideal = unit_ideal(D)
-    for q in factorint(m):
-        ideal = ideal_mult(D, ideal, primitive_ideals_of_norm(D, q)[0])
-    if ideal_norm(ideal) != m:
-        raise QuadFieldError("ramified ideal norm mismatch (bug)")
-    return ideal
 
 
 def discriminant_factorizations(D: int) -> list:

@@ -138,6 +138,21 @@ def test_height_context_outside_zp(capsys):
                    "needs the quadratic extension\n")
 
 
+def test_bc_check_refuses_large_mmax_before_listing_cells():
+    # the largest lattice norm, mmax p^4 |D|, is known before any cell is
+    # listed; listing the two million cells and their operator pairs would
+    # take about 30 s and 2 GiB of RSS
+    proc = subprocess.run(
+        [sys.executable, "-m", "padicheights", "bc-check", "--disc", "-7",
+         "--level", "23", "--p", "11", "--r", "2", "--k", "1",
+         "--mmax", "2000000", "--prec", "30"],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("padicheights: lattice norms up to 204974000000 "
+                           "exceed the exactness bound 1000000000\n")
+
+
 @pytest.mark.parametrize("extra", [
     ("--mode", "complex", "--prec", "-5"),
     ("--mode", "complex", "--prec", "0"),

@@ -1000,9 +1000,9 @@ def test_bc_residual_twisted_character():
 
 
 def test_bc_report_refusal_expands_the_operator_once(monkeypatch):
-    # mmax 200000 lists 200000 cells whose norms pass the 10^9 bound; the
-    # operator expansion is built once per context, not once per listed
-    # cell, so the scan's refusal comes after seconds, not minutes
+    # mmax 200000 reaches norms past the 10^9 bound; bc_report refuses
+    # before it lists a cell, so it expands no operator.  A certifying
+    # report expands it once per context, not once per listed cell
     builds = []
     real = heights.uf_terms
     monkeypatch.setattr(heights, "uf_terms",
@@ -1011,6 +1011,8 @@ def test_bc_report_refusal_expands_the_operator_once(monkeypatch):
     with pytest.raises(HeightError, match=r"^lattice norms up to 20497400000 "
                        r"exceed the exactness bound 1000000000$"):
         bc_report(ctx, 200_000)
+    assert builds == []
+    assert bc_report(ctx, 3)["pass"] is True
     assert builds == [ctx]
 
 

