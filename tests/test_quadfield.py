@@ -98,7 +98,8 @@ def test_kronecker_periodicity(D):
 
 
 # ---------------------------------------------------------------------------
-# small integers: isprime, factorint, divisors against sympy as the oracle
+# small integers: isprime, factorint, divisors against sympy as the oracle,
+# and the Newton lift of roots
 
 # strong pseudoprimes to several bases (2047 to base 2; psi_12 and psi_13
 # fool Miller-Rabin on the first 12 and 13 prime bases), strong Lucas
@@ -137,6 +138,19 @@ def test_factorint_and_divisors_match_sympy():
         assert f == sympy.factorint(n), n
         assert list(f) == sorted(f), n
         assert qf.divisors(n) == sympy.divisors(n), n
+
+
+def test_lift_root_in_zp():
+    p, N = 7, 12
+    mod = p ** N
+    # a cube root in Z_7 (2^3 = 1 mod 7), congruent to its residue root
+    a = 1 + 7 ** 3
+    x = qf.lift_root(p, 2, a, 3, N)
+    assert x % p == 2
+    assert pow(x, 3, mod) == a % mod
+    # 3 is no cube mod 7: lifting from 1 raises instead of returning
+    with pytest.raises(QuadFieldError, match="root lift failed"):
+        qf.lift_root(p, 1, 3, 3, N)
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +292,10 @@ def test_ideals_of_norm_small():
 
 @pytest.mark.parametrize("D", [-7, -15, -23, -39, -55, -195, -255, -1155])
 def test_primitive_ideals_match_odd_b_scan(D):
-    # powers of 2, ramified primes and odd prime powers, against the
-    # definition: one ideal (1, n, b) per odd b mod 2n with b^2 = D mod 4n
-    for n in range(1, 1200):
+    # powers of 2, ramified primes and odd prime powers (deep ones too, for
+    # the Newton lift of the square roots), against the definition: one
+    # ideal (1, n, b) per odd b mod 2n with b^2 = D mod 4n
+    for n in [*range(1, 1200), 3 ** 8, 3 ** 9, 5 ** 6, 7 ** 5, 11 ** 4]:
         brute = sorted(qf.normalize_ideal(D, 1, n, b)
                        for b in range(1, 2 * n, 2)
                        if (b * b - D) % (4 * n) == 0)
