@@ -153,25 +153,17 @@ def _cmd_theta(args) -> int:
 
     if args.mode == "exact":
         coeffs = [{"x": _rat(v.x), "y": _rat(v.y)} for v in series]
-        csv_head = ("n", "x", "y")
-        csv_rows = [(n, c["x"], c["y"])
-                    for n, c in enumerate(coeffs, start=1)]
     elif args.mode == "complex":
         from mpmath import nstr, workdps
         with workdps(args.prec):
             coeffs = [{"re": nstr(v.real, args.prec),
                        "im": nstr(v.imag, args.prec)} for v in series]
-        csv_head = ("n", "re", "im")
-        csv_rows = [(n, c["re"], c["im"])
-                    for n, c in enumerate(coeffs, start=1)]
     else:
         coeffs = [v.to_json() for v in series]
-        csv_head = ("n", "p", "val", "unit", "prec")
-        csv_rows = [(n, c["p"], c["val"], c["unit"], c["prec"])
-                    for n, c in enumerate(coeffs, start=1)]
 
     if args.format == "csv":
-        text = _dump_csv(csv_head, csv_rows)
+        rows = [(n, *c.values()) for n, c in enumerate(coeffs, start=1)]
+        text = _dump_csv(("n", *coeffs[0]), rows)
     else:
         doc = {"discriminant": args.disc,
                "ell": args.ell,

@@ -158,11 +158,9 @@ class HeckeChar:
     def r_chi(self, class_index: int, n):
         """Sum of chi over integral ideals of norm n in the class; 0 unless
         n is a positive integer."""
-        if n != int(n) or n <= 0:
-            return self.zero()
         with self._ctx():
             acc = self.zero()
-            for ideal, ci in ideals_of_norm(self.D, int(n)):
+            for ideal, ci in ideals_of_norm(self.D, n):
                 if ci == class_index:
                     acc = acc + self.chi_value(ideal)
             return acc

@@ -35,32 +35,15 @@ class PadicNumber:
     __slots__ = ("p", "val", "unit", "prec")
 
     def __init__(self, p: int, val: int, unit: int, prec: int):
+        # the one normalization: reduce the unit mod p^prec, then move its
+        # p-power into val, or record O(p^(val+prec)) when no digit is left
         self.p = p
-        if unit == 0:
-            self.val = min(val + prec, EXACT)
-            self.unit = 0
-            self.prec = 0
-            return
-        if prec < 1:
-            # all digits cancelled: only O(p^(val+prec)) is known
-            self.val = val + prec
-            self.unit = 0
-            self.prec = 0
-            return
-        u = unit % (p ** prec)
+        u = unit % p ** prec if unit and prec >= 1 else 0
         if u == 0:
-            self.val = val + prec
-            self.unit = 0
-            self.prec = 0
+            self.val, self.unit, self.prec = min(val + prec, EXACT), 0, 0
             return
         v = _vp(u, p)
-        if v:
-            val += v
-            prec -= v
-            u //= p ** v
-        self.val = val
-        self.unit = u
-        self.prec = prec
+        self.val, self.unit, self.prec = val + v, u // p ** v, prec - v
 
     # -- constructors ------------------------------------------------------
 
@@ -109,8 +92,6 @@ class PadicNumber:
 
     def truncate_abs(self, abs_prec: int) -> "PadicNumber":
         """Forget digits beyond absolute precision abs_prec."""
-        if self.unit == 0:
-            return PadicNumber(self.p, min(self.val, abs_prec), 0, 0)
         return PadicNumber(self.p, self.val, self.unit, min(self.prec, abs_prec - self.val))
 
     # -- arithmetic ---------------------------------------------------------
@@ -142,31 +123,17 @@ class PadicNumber:
         o = self._coerce_abs(o, self.abs_prec())
         self._check(o)
         p = self.p
-        if self.is_exact_zero():
-            return o
-        if o.is_exact_zero():
-            return self
         cap = min(self.abs_prec(), o.abs_prec())
         shift = min(self.val, o.val)
-        if cap <= shift:
-            return PadicNumber.zero(p, cap)
-        mod = p ** (cap - shift)
-        acc = 0
-        if self.unit:
-            acc += self.unit * p ** (self.val - shift)
-        if o.unit:
-            acc += o.unit * p ** (o.val - shift)
-        acc %= mod
-        if acc == 0:
-            return PadicNumber.zero(p, cap)
-        v = _vp(acc, p)
-        return PadicNumber(p, shift + v, acc // p ** v, cap - shift - v)
+        # an exact zero's val is EXACT: only nonzero units enter the sum
+        acc = ((self.unit * p ** (self.val - shift) if self.unit else 0)
+               + (o.unit * p ** (o.val - shift) if o.unit else 0))
+        return PadicNumber(p, shift, acc, cap - shift)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PadicNumber(self.p, self.val, (-self.unit) % self.p ** self.prec
-                           if self.unit else 0, self.prec)
+        return PadicNumber(self.p, self.val, -self.unit, self.prec)
 
     def __sub__(self, o):
         return self + (-self._coerce_abs(o, self.abs_prec()))
@@ -180,11 +147,8 @@ class PadicNumber:
         p = self.p
         if self.is_exact_zero() or o.is_exact_zero():
             return PadicNumber.zero(p)
-        if self.unit == 0 or o.unit == 0:
-            return PadicNumber.zero(p, self.val + o.val)
-        prec = min(self.prec, o.prec)
-        return PadicNumber(p, self.val + o.val,
-                           self.unit * o.unit % p ** prec, prec)
+        return PadicNumber(p, self.val + o.val, self.unit * o.unit,
+                           min(self.prec, o.prec))
 
     __rmul__ = __mul__
 

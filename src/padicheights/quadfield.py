@@ -708,8 +708,6 @@ def primitive_ideals_of_norm(D: int, n: int) -> list:
     """Primitive integral ideals of norm n: all (1, n, b) with b^2 = D mod 4n."""
     if n <= 0:
         return []
-    if n == 1:
-        return [unit_ideal(D)]
     f = factorint(n)
     t = f.pop(2, 0)
     roots2 = _sqrt_odd_mod_power_of_two(D, t)
@@ -742,31 +740,28 @@ def primitive_ideals_of_norm(D: int, n: int) -> list:
     return sorted(out)
 
 
-def ideals_of_norm(D: int, n: int) -> list:
-    """All integral ideals of norm n as (ideal, class index) pairs."""
+def ideals_of_norm(D: int, n) -> list:
+    """All integral ideals of norm n as (ideal, class index) pairs, none
+    unless n is a positive integer (r(0) = 0): e * (primitive ideal of
+    norm n / e^2) for e | prod q^(k // 2), n = prod q^k."""
     validate_discriminant(D)
     if n != int(n) or n <= 0:
         return []
     n = int(n)
+    es = [1]
+    for q, k in factorint(n).items():
+        es = [e * q ** i for e in es for i in range(k // 2 + 1)]
     out = []
-    e = 1
-    while e * e <= n:
-        if n % (e * e) == 0:
-            for (one, a, b) in primitive_ideals_of_norm(D, n // (e * e)):
-                ideal = (e, a, b)
-                out.append((ideal, class_index_of_ideal(D, ideal)))
-        e += 1
+    for e in es:
+        for (_, a, b) in primitive_ideals_of_norm(D, n // (e * e)):
+            ideal = (e, a, b)
+            out.append((ideal, class_index_of_ideal(D, ideal)))
     return sorted(out)
 
 
 def count_rA(D: int, class_index: int, n) -> int:
-    """Number of integral ideals of norm n in the given class (r_A(n)).
-
-    n outside the positive integers counts as 0 (the r(0) = 0 convention).
-    """
-    if n != int(n) or n <= 0:
-        return 0
-    return sum(1 for (_, ci) in ideals_of_norm(D, int(n)) if ci == class_index)
+    """Number of integral ideals of norm n in the given class (r_A(n))."""
+    return sum(1 for (_, ci) in ideals_of_norm(D, n) if ci == class_index)
 
 
 def discriminant_factorizations(D: int) -> list:

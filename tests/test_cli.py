@@ -156,6 +156,17 @@ def test_bc_check_refuses_large_mmax_before_listing_cells():
                            "exceed the exactness bound 1000000000\n")
 
 
+def test_ideals_of_a_31_digit_split_prime_come_at_once():
+    # the square divisors come from the factorization: trying every
+    # e <= sqrt(n) would take about 10^15 steps at this norm
+    proc = subprocess.run(
+        [sys.executable, "-m", "padicheights", "ideals", "--disc", "-7",
+         "--norm", "1000000000000000000000000000057"],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["count"] == 2
+
+
 @pytest.mark.parametrize("extra", [
     ("--mode", "complex", "--prec", "-5"),
     ("--mode", "complex", "--prec", "0"),

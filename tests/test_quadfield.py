@@ -302,6 +302,19 @@ def test_primitive_ideals_match_odd_b_scan(D):
         assert qf.primitive_ideals_of_norm(D, n) == brute, (D, n)
 
 
+@pytest.mark.parametrize("D", [-7, -15, -23, -55, -195])
+def test_ideals_of_norm_match_every_square_divisor(D):
+    # ideals_of_norm reads its e off the factorization of n; the definition
+    # tries every e <= sqrt(n) with e^2 | n
+    def by_definition(n):
+        ideals = [(e, a, b) for e in range(1, isqrt(n) + 1) if n % (e * e) == 0
+                  for (_, a, b) in qf.primitive_ideals_of_norm(D, n // (e * e))]
+        return sorted((i, qf.class_index_of_ideal(D, i)) for i in ideals)
+    for n in [*range(1, 3000), 3 ** 4 * 11 ** 2, 2 ** 6 * 5 ** 4, 7 ** 6,
+              2 ** 4 * 3 ** 4 * 5 ** 2 * 11 ** 2, 3 ** 8 * 13 ** 3]:
+        assert qf.ideals_of_norm(D, n) == by_definition(n), (D, n)
+
+
 def test_count_rA_nonpositive_and_fractional():
     assert qf.count_rA(-7, 0, 0) == 0
     assert qf.count_rA(-7, 0, Fraction(3, 2)) == 0
