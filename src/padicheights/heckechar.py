@@ -12,9 +12,9 @@ of alpha_i^ell, where g_i^{d_i} = (alpha_i).  Values come in three modes:
            the unramified quadratic extension) is refused
 
 The p-adic embedding sends sqrt(D) to the square root of D in Z_p that
-lifts _residue_root's pick at twist 0, the smallest square root of D mod p;
-the distinguished prime above p is the kernel of reduction under that
-embedding.
+lifts _residue_root's pick at twist 0, the smallest square root of D mod p
+that quadfield.roots_mod_p lists; the distinguished prime above p is the
+kernel of reduction under that embedding.
 
 Per class A, r_chi(A, n) sums chi over the integral ideals of norm n in A.
 Enumerating a fixed ideal lattice gives an independent route to the same
@@ -29,7 +29,7 @@ from .padic import PadicNumber
 from .quadfield import (KElem, class_group, class_index_of_ideal, ideal_conj,
                         ideal_mult, ideal_norm, ideal_of_form, ideal_pow,
                         ideals_of_norm, isprime, kronecker, lift_root,
-                        normalize_ideal, principal_generator,
+                        normalize_ideal, principal_generator, roots_mod_p,
                         validate_discriminant)
 
 MODES = ("exact", "complex", "padic")
@@ -49,11 +49,11 @@ def _residue_root(p, a, d, twist):
     A twist of 0 picks among the roots in F_p alone when there are any.
 
     Returns the root in F_p; 0 (never a root) when the pick lies off F_p;
-    None when there is no root.  The roots off F_p are only counted: the
-    group F_{p^2}^* is cyclic of order p^2 - 1, so X^d = a has
-    g = gcd(d, p^2 - 1) roots there when a^((p^2 - 1)/g) = 1, and none
-    otherwise."""
-    roots = [r for r in range(1, p) if pow(r, d, p) == a % p]
+    None when there is no root.  The roots in F_p come from roots_mod_p;
+    those off F_p are only counted: the group F_{p^2}^* is cyclic of order
+    p^2 - 1, so X^d = a has g = gcd(d, p^2 - 1) roots there when
+    a^((p^2 - 1)/g) = 1, and none otherwise."""
+    roots = roots_mod_p(a, d, p)
     if roots and not twist:
         return roots[0]
     q = p * p - 1

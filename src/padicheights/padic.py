@@ -10,7 +10,7 @@ functions epsilon_A / sigma_A built on Kronecker symbols.
 from fractions import Fraction
 from math import gcd, log as _flog, ceil
 
-from .quadfield import divisors, kronecker
+from .quadfield import divisors, kronecker, lift_root
 
 EXACT = 10 ** 9  # sentinel valuation: exact zero
 
@@ -218,16 +218,7 @@ def teichmuller(p: int, x: int, N: int) -> PadicNumber:
     """The (p-1)-st root of unity congruent to x mod p, to precision N."""
     if x % p == 0:
         raise PadicError("Teichmuller lift needs a unit")
-    return PadicNumber(p, 0, _teich_int(p, x, p ** N), N)
-
-
-def _teich_int(p: int, x: int, mod: int) -> int:
-    t = x % mod
-    while True:
-        t2 = pow(t, p, mod)
-        if t2 == t:
-            return t
-        t = t2
+    return PadicNumber(p, 0, lift_root(p, x % p, 1, p - 1, N), N)
 
 
 def iwasawa_log(p: int, x, N: int) -> PadicNumber:

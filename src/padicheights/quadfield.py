@@ -5,8 +5,8 @@ two-generator ideal calculus for the maximal order of Q(sqrt(D)), D < -4,
 D = 1 mod 4 squarefree.  Everything is exact integer/rational arithmetic.
 The package's integer number theory on D, N, p and ideal norms lives here
 too: Kronecker symbols, isprime (Baillie-PSW), factorint (trial division,
-then Pollard rho), divisors, the Newton lift of roots mod p^N, and square
-roots modulo prime powers.
+then Pollard rho), divisors, the roots of X^d = a in F_p, the Newton lift
+of roots mod p^N, and square roots modulo prime powers.
 
 Conventions used throughout the package:
 
@@ -185,6 +185,47 @@ def divisors(n: int) -> list:
     for q, e in factorint(abs(n)).items():
         out = [d * q ** i for d in out for i in range(e + 1)]
     return sorted(out)
+
+
+def roots_mod_p(a: int, d: int, p: int) -> list[int]:
+    """The roots of X^d = a in F_p, sorted, for a unit a mod the prime p.
+
+    With n = p - 1 and g = gcd(d, n) there are roots only when
+    a^(n/g) = 1.  As d/g is prime to n/g, the roots are those of
+    X^g = a^e, e = (d/g)^-1 mod n/g: one of them comes from an
+    Adleman-Manders-Miller step per prime of g (with multiplicity), the
+    others are it times the g-th roots of unity."""
+    if a % p == 0:
+        raise QuadFieldError(f"X^{d} = {a % p} mod {p}: a must be a unit")
+    n = p - 1
+    g = gcd(d, n)
+    if pow(a, n // g, p) != 1:
+        return []
+    x = pow(a, pow(d // g, -1, n // g), p)
+    zeta = 1                                    # a primitive g-th root of 1
+    for q, k in factorint(g).items():
+        s, t = 0, n                             # n = q^s t, q prime to t
+        while t % q == 0:
+            s, t = s + 1, t // q
+        z = next(z for z in count(2) if pow(z, n // q, p) != 1)
+        c = pow(z, t, p)                        # of order q^s
+        zeta = zeta * pow(c, q ** (s - k), p) % p
+        gamma = pow(c, q ** (s - 1), p)         # of order q
+        log_gamma = {pow(gamma, j, p): j for j in range(q)}
+        for _ in range(k):
+            # the AMM step (Tonelli-Shanks at q = 2): x^(q^-1 mod t) is a
+            # q-th root of x up to err = c^L; read L base q digit by digit
+            y = pow(x, pow(q, -1, t), p)
+            err = pow(y, q, p) * pow(x, -1, p) % p
+            L = 0
+            for i in range(s):
+                h = pow(err * pow(c, -L, p), q ** (s - 1 - i), p)
+                L += log_gamma[h] * q ** i
+            x = y * pow(c, -(L // q), p) % p    # q | L as x is a q-th power
+    roots = [x]
+    for _ in range(g - 1):
+        roots.append(roots[-1] * zeta % p)
+    return sorted(roots)
 
 
 def lift_root(p: int, x: int, a: int, d: int, N: int) -> int:
@@ -639,69 +680,20 @@ def split_type(D: int, q: int) -> str:
     return {1: "split", -1: "inert", 0: "ramified"}[s]
 
 
-def _sqrt_mod_prime(a: int, q: int) -> int | None:
-    """A square root of a mod odd prime q (Tonelli-Shanks), or None."""
-    a %= q
-    if a == 0:
-        return 0
-    if pow(a, (q - 1) // 2, q) != 1:
-        return None
-    if q % 4 == 3:
-        return pow(a, (q + 1) // 4, q)
-    # Tonelli-Shanks
-    s, e = q - 1, 0
-    while s % 2 == 0:
-        s //= 2
-        e += 1
-    n = 2
-    while pow(n, (q - 1) // 2, q) != q - 1:
-        n += 1
-    x = pow(a, (s + 1) // 2, q)
-    b = pow(a, s, q)
-    g = pow(n, s, q)
-    r = e
-    while True:
-        t, m = b, 0
-        while t != 1:
-            t = t * t % q
-            m += 1
-        if m == 0:
-            return x
-        gs = pow(g, 1 << (r - m - 1), q)
-        g = gs * gs % q
-        x = x * gs % q
-        b = b * g % q
-        r = m
-
-
-def _sqrt_mod_odd_prime_power(a: int, q: int, e: int) -> list[int]:
-    """All square roots of a mod q^e, q odd prime, assuming gcd(a, q) = 1."""
-    r = _sqrt_mod_prime(a, q)
-    if r is None:
-        return []
-    r = lift_root(q, r, a, 2, e)
-    return sorted({r, -r % q ** e})
-
-
 def _sqrt_odd_mod_power_of_two(D: int, t: int) -> list[int]:
     """Odd x mod 2^(t+1) with x^2 = D mod 2^(t+2); D odd."""
     if t == 0:
         return [1] if D % 4 == 1 else []
     if D % 8 != 1:
         return []
-    # lift solutions of x^2 = D mod 2^j for j = 3 .. t+2
-    sols = {1, 3, 5, 7}
-    mod = 8
-    for j in range(4, t + 3):
-        mod2 = mod * 2
-        new = set()
-        for x in sols:
-            for cand in (x, x + mod):
-                if (cand * cand - D) % mod2 == 0:
-                    new.add(cand % mod2)
-        sols, mod = new, mod2
-    # x defined mod 2^(t+2); b only matters mod 2^(t+1)
-    return sorted({x % (mod // 2) for x in sols})
+    # x^2 = D mod 2^j with j >= 3 lifts to mod 2^(j+1) by fixing bit j - 1
+    x = 1
+    for j in range(3, t + 2):
+        if (x * x - D) % (1 << (j + 1)):
+            x += 1 << (j - 1)
+    # the odd roots mod 2^(t+2) are +-x and +-x + 2^(t+1)
+    m = 1 << (t + 1)
+    return sorted({x % m, -x % m})
 
 
 def primitive_ideals_of_norm(D: int, n: int) -> list:
@@ -722,12 +714,14 @@ def primitive_ideals_of_norm(D: int, n: int) -> list:
             qroots = [0]
             qmod = q
         else:
-            qroots = _sqrt_mod_odd_prime_power(D, q, e)
-            qmod = q**e
-            if not qroots:
+            r = roots_mod_p(D, 2, q)
+            if not r:
                 return []
+            qmod = q**e
+            x = lift_root(q, r[0], D, 2, e)
+            qroots = [x, qmod - x]
         # CRT combine
-        _, s, _ = _xgcd(crt_mod, qmod)
+        s = pow(crt_mod, -1, qmod)
         crt_roots = [(r1 + (r2 - r1) * s % qmod * crt_mod) % (crt_mod * qmod)
                      for r1 in crt_roots for r2 in qroots]
         crt_mod *= qmod

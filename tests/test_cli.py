@@ -167,6 +167,25 @@ def test_ideals_of_a_31_digit_split_prime_come_at_once():
     assert json.loads(proc.stdout)["count"] == 2
 
 
+def test_padic_character_at_a_12_digit_split_prime_comes_at_once():
+    # the roots mod p come from one root and the roots of unity: a scan of
+    # F_p would take about 1.5 s per 10^7 of p, twice per build; at
+    # p = 100000000003 alpha^2 has no cube root in F_(p^2)
+    argv = [sys.executable, "-m", "padicheights", "theta", "--disc", "-23",
+            "--ell", "2", "--class", "1", "--bound", "8", "--mode", "padic",
+            "--prec", "8", "--p"]
+    proc = subprocess.run(argv + ["100000000019"], capture_output=True,
+                          text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["coefficients"]) == 8
+    proc = subprocess.run(argv + ["100000000003"], capture_output=True,
+                          text=True, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("padicheights: ") and "no root" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("extra", [
     ("--mode", "complex", "--prec", "-5"),
     ("--mode", "complex", "--prec", "0"),

@@ -140,6 +140,28 @@ def test_factorint_and_divisors_match_sympy():
         assert qf.divisors(n) == sympy.divisors(n), n
 
 
+def test_roots_mod_p_match_enumeration():
+    # every unit a and d <= 24 at the odd primes below 200 and four primes
+    # with larger 2- and 3-parts in p - 1, against r^d mod p grouped by a
+    cases = 0
+    for p in [*(p for p in range(3, 200) if qf.isprime(p)), 257, 641, 769,
+              1009]:
+        for d in range(1, 25):
+            roots = {}
+            for r in range(1, p):
+                roots.setdefault(pow(r, d, p), []).append(r)
+            for a in range(1, p):
+                assert qf.roots_mod_p(a, d, p) == roots.get(a, []), (p, d, a)
+                cases += 1
+    assert cases == 164448
+
+
+def test_roots_mod_p_needs_a_unit():
+    for a, d, p in [(0, 2, 7), (14, 3, 7), (-11, 1, 11)]:
+        with pytest.raises(QuadFieldError, match="a must be a unit"):
+            qf.roots_mod_p(a, d, p)
+
+
 def test_lift_root_in_zp():
     p, N = 7, 12
     mod = p ** N
@@ -293,9 +315,11 @@ def test_ideals_of_norm_small():
 @pytest.mark.parametrize("D", [-7, -15, -23, -39, -55, -195, -255, -1155])
 def test_primitive_ideals_match_odd_b_scan(D):
     # powers of 2, ramified primes and odd prime powers (deep ones too, for
-    # the Newton lift of the square roots), against the definition: one
-    # ideal (1, n, b) per odd b mod 2n with b^2 = D mod 4n
-    for n in [*range(1, 1200), 3 ** 8, 3 ** 9, 5 ** 6, 7 ** 5, 11 ** 4]:
+    # the bit-by-bit 2-adic lift and the Newton lift of the square roots),
+    # against the definition: one ideal (1, n, b) per odd b mod 2n with
+    # b^2 = D mod 4n
+    for n in [*range(1, 1200), 2 ** 14, 2 ** 17, 3 ** 8, 3 ** 9, 5 ** 6,
+              7 ** 5, 11 ** 4]:
         brute = sorted(qf.normalize_ideal(D, 1, n, b)
                        for b in range(1, 2 * n, 2)
                        if (b * b - D) % (4 * n) == 0)
