@@ -16,7 +16,6 @@ import os
 import sys
 from fractions import Fraction
 from math import factorial
-from pathlib import Path
 
 from .heckechar import CharBuildError, build_char, theta_coeffs
 from .heights import (HeightContext, HeightError, bc_report,
@@ -25,8 +24,6 @@ from .padic import PadicError, sigma_A
 from .polykit import PolyError, RationalPoly, g_poly, h_poly, jacobi_poly
 from .quadfield import (QuadFieldError, admissible_params, class_group,
                         class_norm, class_number, ideals_of_norm, isprime)
-
-SCHEMA_DIR = Path(__file__).parent / "schemas"
 
 
 class UsageError(ValueError):
@@ -50,6 +47,23 @@ class _Parser(argparse.ArgumentParser):
 def _rat(x) -> str:
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
+
+
+def _require_printable(values):
+    """Refuse exact rationals past the interpreter's int-to-str limit of
+    `limit` digits (none when 0 or on an interpreter without it), from bit
+    lengths, before any string is built: an integer of at most
+    floor(limit log2 10) bits is below 10^limit."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not limit:
+        return
+    bits = (10 ** limit).bit_length() - 1
+    need = max(max(abs(v.numerator).bit_length(), v.denominator.bit_length())
+               for v in values)
+    if need > bits:
+        raise UsageError(f"hypothesis every exact coefficient fits the "
+                         f"{limit}-digit int-to-str limit fails: one needs "
+                         f"{need} bits, more than {bits}")
 
 
 def dump_json(doc) -> str:
@@ -83,10 +97,6 @@ def _write(text: str, path):
                 f"cannot write --output {path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
-
-
-def schema_path(command: str) -> Path:
-    return SCHEMA_DIR / f"{command}.json"
 
 
 def _check_class(D: int, class_index: int) -> int:
@@ -152,6 +162,7 @@ def _cmd_theta(args) -> int:
     series = theta_coeffs(char, args.class_index, args.bound)
 
     if args.mode == "exact":
+        _require_printable([c for v in series for c in (v.x, v.y)])
         coeffs = [{"x": _rat(v.x), "y": _rat(v.y)} for v in series]
     elif args.mode == "complex":
         from mpmath import nstr, workdps

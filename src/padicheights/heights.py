@@ -1061,20 +1061,12 @@ def _hf_sides(ctx: HeightContext, class_index: int, m: int):
     return lhs * konst, rhs * konst
 
 
-def height_fourier_residual(ctx: HeightContext, class_index: int,
-                            m: int) -> int:
-    """Certified valuation of (operator on the local height sums) minus the
-    closed-form side built from the log-weighted Fourier coefficients."""
-    lhs, rhs = _hf_sides(ctx, class_index, m)
-    d = lhs - rhs
-    return min(d.valuation(), ctx.n_prec)
-
-
 def crosscheck_report(ctx: HeightContext, class_index: int, m: int) -> dict:
-    """height_fourier_residual as a JSON-ready report; when the residual
-    misses the threshold the report carries the residual of the sign-flipped
-    closed form as a diagnostic (a constant-sign discrepancy must be
-    reported, never silently repaired)."""
+    """Certified valuation of (operator on the local height sums) minus the
+    closed-form side built from the log-weighted Fourier coefficients, as a
+    JSON-ready report; when the residual misses the threshold the report
+    carries the residual of the sign-flipped closed form as a diagnostic (a
+    constant-sign discrepancy must be reported, never silently repaired)."""
     lhs, rhs = _hf_sides(ctx, class_index, m)
     res = min((lhs - rhs).valuation(), ctx.n_prec)
     threshold = ctx.n_prec - ctx.slack

@@ -3,14 +3,14 @@
 PadicNumber stores p^val * unit with the unit known mod p^prec, so the value
 is guaranteed mod p^(val+prec).  Valuations may be negative.  Zeros carry an
 absolute precision: O(p^val); exact zeros use the EXACT sentinel.  Also here:
-Teichmuller lifts, the Iwasawa branch of log_p, and the divisor-sum
-functions epsilon_A / sigma_A built on Kronecker symbols.
+the Iwasawa branch of log_p, and the divisor-sum functions epsilon_A /
+sigma_A built on Kronecker symbols.
 """
 
 from fractions import Fraction
 from math import gcd, log as _flog, ceil
 
-from .quadfield import divisors, kronecker, lift_root
+from .quadfield import divisors, kronecker
 
 EXACT = 10 ** 9  # sentinel valuation: exact zero
 
@@ -212,14 +212,7 @@ class PadicNumber:
 
 
 # ---------------------------------------------------------------------------
-# Teichmuller lifts and the Iwasawa logarithm
-
-def teichmuller(p: int, x: int, N: int) -> PadicNumber:
-    """The (p-1)-st root of unity congruent to x mod p, to precision N."""
-    if x % p == 0:
-        raise PadicError("Teichmuller lift needs a unit")
-    return PadicNumber(p, 0, lift_root(p, x % p, 1, p - 1, N), N)
-
+# the Iwasawa logarithm
 
 def iwasawa_log(p: int, x, N: int) -> PadicNumber:
     """Iwasawa's branch of log_p on nonzero rationals, to precision N.

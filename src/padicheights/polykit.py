@@ -2,13 +2,11 @@
 
 Dense polynomials with Fraction coefficients, plus the special families used
 by the height computations: the Rodrigues-type kernels H_{m,k}, the
-hypergeometric sums G_{m,k}, Jacobi polynomials P_n^{(alpha,beta)}, truncated
-exponential polynomials p_m, holomorphic-projection coefficient transforms,
-and a Laplace-integral oracle evaluated by termwise Gamma integrals.
+hypergeometric sums G_{m,k} and Jacobi polynomials P_n^{(alpha,beta)}.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 # factorial growth guard; far beyond any supported computation
 MAX_RODRIGUES_ORDER = 64
@@ -195,84 +193,3 @@ def jacobi_poly(n: int, alpha: int, beta: int) -> RationalPoly:
         elif e < 0:
             num = num * base ** (-e)
     return num
-
-
-def p_poly(m: int) -> RationalPoly:
-    """p_m(x) = sum_{a=0}^m binom(m,a) (-x)^a / a!."""
-    if m < 0:
-        raise PolyError("m must be nonnegative")
-    _guard_order(m)
-    return RationalPoly([Fraction((-1) ** a * comb(m, a), factorial(a))
-                         for a in range(m + 1)])
-
-
-def laplace_integral_oracle(m: int, k: int, i: int, j: int, dps: int = 40):
-    """int_0^oo p_m(4 pi j y) e^{-4 pi (i+j) y} y^{m+2k} dy, termwise.
-
-    Each monomial contributes c_a (4 pi j)^a (a+m+2k)! / (4 pi (i+j))^{a+m+2k+1};
-    the rational part is summed exactly and only the final power of 4 pi is
-    floated at dps digits.
-    """
-    if i <= 0 or j < 0:
-        raise PolyError("need i >= 1 and j >= 0")
-    _guard_order(m + 2 * k)
-    pm = p_poly(m)
-    rat = Fraction(0)
-    for a in range(m + 1):
-        rat += (pm.coeff(a) * Fraction(j) ** a
-                * factorial(a + m + 2 * k) / Fraction(i + j) ** (a + m + 2 * k + 1))
-    import mpmath
-    with mpmath.workdps(dps):
-        scale = (4 * mpmath.pi) ** -(m + 2 * k + 1)
-        return mpmath.mpf(rat.numerator) / rat.denominator * scale
-
-
-def _series_get(s, i: int):
-    if callable(s):
-        return s(i)
-    if 0 <= i < len(s):
-        return s[i]
-    return Fraction(0)
-
-
-def holproj_coeffs(a, b, r: int, k: int, bound: int) -> list:
-    """Coefficients c(n), n = 0..bound, of the projected product series.
-
-    c(n) = ((-1)^m / binom(2r-2, m)) n^m sum_{i+j=n, i>=1, j>=0}
-           a(i) b(j) H_{m,k}((i-j)/(i+j)),  m = r-k-1.
-
-    a and b are callables or sequences; a is indexed from 1, b from 0.
-    Requires 0 <= k < r.  Exact when the inputs are exact rationals.
-    """
-    if not (0 <= k < r):
-        raise PolyError("need 0 <= k < r")
-    m = r - k - 1
-    H = h_poly(m, k)
-    pref = Fraction((-1) ** m, comb(2 * r - 2, m))
-    out = [Fraction(0)]
-    for n in range(1, bound + 1):
-        s = Fraction(0)
-        for i in range(1, n + 1):
-            ai = _series_get(a, i)
-            if not ai:
-                continue
-            bj = _series_get(b, n - i)
-            if not bj:
-                continue
-            s += ai * bj * H(Fraction(2 * i - n, n))
-        out.append(pref * Fraction(n) ** m * s)
-    return out
-
-
-def coeff_identity_check(m: int, k: int, a, b, c, d) -> Fraction:
-    """Difference between the x^{m+2k} coefficient of (ax+b)^{m+2k} (cx+d)^m
-    and a^{2k} (ad-bc)^m H_{m,k}((ad+bc)/(ad-bc)).  Zero iff the identity holds."""
-    a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
-    if a * d == b * c:
-        raise PolyError("ad = bc leaves the closed form undefined")
-    _guard_order(m + 2 * k)
-    prod = RationalPoly([b, a]) ** (m + 2 * k) * RationalPoly([d, c]) ** m
-    lhs = prod.coeff(m + 2 * k)
-    H = h_poly(m, k)
-    rhs = a ** (2 * k) * (a * d - b * c) ** m * H((a * d + b * c) / (a * d - b * c))
-    return lhs - rhs

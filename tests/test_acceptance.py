@@ -22,13 +22,14 @@ from padicheights.cli import _hpoly_identity
 from padicheights.heckechar import build_char, lattice_theta_coeffs, theta_coeffs
 from padicheights.heights import (HeightContext, bc_report, crosscheck_report,
                                   fourier_am, fourier_am_direct)
-from padicheights.padic import iwasawa_log, teichmuller
-from padicheights.polykit import (coeff_identity_check, h_poly, jacobi_poly,
-                                  laplace_integral_oracle)
+from padicheights.padic import iwasawa_log
+from padicheights.polykit import h_poly, jacobi_poly
 from padicheights.quadfield import (QuadFieldError, admissible_params,
                                     class_group, class_number, ideal_of_form,
                                     validate_discriminant)
 from test_faults import OPERATOR_FAULTS
+from testkit import (coeff_identity_check, laplace_integral_oracle,
+                     schema_path, teichmuller)
 
 
 def report(num, label, ok, elapsed, budget, detail=""):
@@ -364,7 +365,7 @@ def test_criterion_10_cli_tour():
         if "--format" in argv:        # flat CSV table, no schema applies
             continue
         doc = json.loads(runs[0].stdout)
-        schema = json.loads(cli.schema_path(argv[0]).read_text())
+        schema = json.loads(schema_path(argv[0]).read_text())
         ok = ok and not list(Draft7Validator(schema).iter_errors(doc))
         ok = ok and cli.dump_json(doc) == runs[0].stdout
         validated += 1

@@ -1,17 +1,17 @@
 """CLI behavior: exit codes, schema validity, determinism, round trips."""
 
 import ast
-import importlib
+import hashlib
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import Draft7Validator
 
 from padicheights import cli
+from testkit import resolve, schema_path, src_modules
 
 
 def run_cli(capsys, *argv):
@@ -26,7 +26,7 @@ def run_proc(*argv):
 
 
 def check_schema(command, doc):
-    schema = json.loads(cli.schema_path(command).read_text())
+    schema = json.loads(schema_path(command).read_text())
     Draft7Validator.check_schema(schema)
     errors = list(Draft7Validator(schema).iter_errors(doc))
     assert not errors, errors[:3]
@@ -126,6 +126,31 @@ def test_theta_padic_outside_zp(capsys, fmt):
     assert out == ""
     assert "chi takes values in Z_p" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_theta_exact_refuses_unprintable_coefficients(fmt):
+    # at ell = 20000 the coefficients pass the interpreter's 4300-digit
+    # int-to-str limit
+    proc = run_proc("theta", "--disc", "-7", "--ell", "20000", "--class", "0",
+                    "--bound", "10", "--mode", "exact", "--format", fmt)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "int-to-str limit fails" in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("fmt,sha256", [
+    ("json", "bc946c742ae670e43c91c3900c87a9a9"
+             "34f94f7c798e52ec3de962caaafa2d91"),
+    ("csv", "3baf9386cd443a22f9e8b8ea56bbe76e"
+            "03effe114d15feb6c9b239ac42b39b95")])
+def test_theta_exact_prints_large_coefficients(fmt, sha256):
+    # ell = 6000 stays within the int-to-str limit, with the same bytes
+    proc = run_proc("theta", "--disc", "-7", "--ell", "6000", "--class", "0",
+                    "--bound", "4", "--mode", "exact", "--format", fmt)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == sha256
 
 
 def test_height_context_outside_zp(capsys):
@@ -505,10 +530,12 @@ print(json.dumps([code, "mpmath" in sys.modules]))
 """
 
 
-@pytest.mark.parametrize("argv", NO_SYMPY_COMMANDS[:2],
-                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", NO_SYMPY_COMMANDS[:2] + [
+    ["hpoly", "--m", "3", "--k", "2", "--check", "jacobi"],
+    ["theta", "--disc", "-7", "--ell", "2", "--class", "0", "--bound", "10",
+     "--mode", "exact"]], ids=lambda argv: argv[0])
 def test_padic_reports_never_import_mpmath(argv):
-    # mpmath serves only the complex mode and the float integral oracle
+    # mpmath serves only the complex mode of theta
     proc = subprocess.run([sys.executable, "-c", _RUN_ONE, json.dumps(argv)],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -578,16 +605,12 @@ def test_every_raise_in_src_is_a_rejection():
     # a user as a traceback.  A raise the scan cannot resolve to a class
     # fails too.
     checked, stray = 0, []
-    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
-        module = importlib.import_module(f"padicheights.{path.stem}")
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for path, module, tree in src_modules():
+        for node in ast.walk(tree):
             if not isinstance(node, ast.Raise):
                 continue
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            try:
-                cls = eval(ast.unparse(exc), vars(module)) if exc else None
-            except (NameError, AttributeError):
-                cls = None
+            cls = resolve(exc, vars(module)) if exc else None
             if not (isinstance(cls, type) and issubclass(cls, cli._REJECTIONS)):
                 stray.append(f"{path.name}:{node.lineno}")
             checked += 1

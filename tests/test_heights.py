@@ -22,8 +22,8 @@ from padicheights.heights import (HeightContext, HeightError, _Cosets,
                                   _hf_sides, apply_UF, b_seq, bc_report,
                                   bc_residual, c_seq, crosscheck_report,
                                   fourier_am, fourier_am_direct,
-                                  height_fourier_residual, local_height_sum,
-                                  local_height_sum_direct, uf_terms)
+                                  local_height_sum, local_height_sum_direct,
+                                  uf_terms)
 from padicheights.padic import PadicNumber, sigma_A
 from padicheights.quadfield import (QuadFieldError, admissible_params,
                                    class_norm, discriminant_factorizations,
@@ -866,10 +866,10 @@ def test_hypothesis_messages_are_pinned(ctx21):
              (lambda: ctx21.prefetch([(0, 0)]), index),
              (lambda: fourier_am(ctx21, 0, 7), p_m),
              (lambda: fourier_am_direct(ctx21, 0, 7), p_m),
-             (lambda: height_fourier_residual(ctx21, 0, 7), p_m),
+             (lambda: crosscheck_report(ctx21, 0, 7), p_m),
              (lambda: local_height_sum(ctx21, 0, 46), level),
              (lambda: local_height_sum_direct(ctx21, 0, 46), level),
-             (lambda: height_fourier_residual(
+             (lambda: crosscheck_report(
                  ctx21, 0, 253), level.replace("46", "253"))]
     for call, message in cases:
         with pytest.raises(HeightError) as err:
@@ -1122,17 +1122,17 @@ def test_local_height_two_paths(ctx21):
 
 
 def test_height_fourier_certifies(ctx21, ctx32):
-    assert height_fourier_residual(ctx21, 0, 33) == 30
-    assert height_fourier_residual(ctx32, 0, 33) == 30
+    assert crosscheck_report(ctx21, 0, 33)["residual"] == 30
+    assert crosscheck_report(ctx32, 0, 33)["residual"] == 30
 
 
 def test_height_fourier_hypothesis_errors(ctx21):
     with pytest.raises(HeightError, match=r"p \| m"):
-        height_fourier_residual(ctx21, 0, 3)
+        crosscheck_report(ctx21, 0, 3)
     with pytest.raises(HeightError, match="gcd"):
-        height_fourier_residual(ctx21, 0, 11 * 23)
+        crosscheck_report(ctx21, 0, 11 * 23)
     with pytest.raises(HeightError, match="r_A"):
-        height_fourier_residual(ctx21, 0, 11)
+        crosscheck_report(ctx21, 0, 11)
 
 
 def test_crosscheck_report_passes(ctx21):

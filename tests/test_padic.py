@@ -14,9 +14,9 @@ from padicheights.padic import (
     epsilon_A,
     iwasawa_log,
     sigma_A,
-    teichmuller,
 )
 from padicheights.quadfield import QuadFieldError, lift_root
+from testkit import teichmuller
 
 
 def R(p, x, prec=20):

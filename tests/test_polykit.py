@@ -6,17 +6,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from padicheights.polykit import (
-    PolyError,
-    RationalPoly,
-    coeff_identity_check,
-    g_poly,
-    h_poly,
-    holproj_coeffs,
-    jacobi_poly,
-    laplace_integral_oracle,
-    p_poly,
-)
+from padicheights.polykit import (PolyError, RationalPoly, g_poly, h_poly,
+                                  jacobi_poly)
+from testkit import (coeff_identity_check, holproj_coeffs,
+                     laplace_integral_oracle, p_poly)
 
 
 def P(*cs):
