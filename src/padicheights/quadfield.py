@@ -141,16 +141,32 @@ def _strong_lucas(n: int, Dl: int, Q: int) -> bool:
     return False
 
 
+_RHO_BUDGET = 1 << 22      # Pollard rho steps spent on one composite
+
+
 def _rho(n: int) -> int:
-    """A proper factor of the odd composite n: Pollard rho, Brent's cycle."""
+    """A proper factor of the odd composite n: Pollard rho, Brent's cycle,
+    in at most _RHO_BUDGET steps over all the constants c tried.  A round
+    takes one gcd of the product of its differences, and is redone with a
+    gcd per step only when that gcd is n."""
+    steps = 0
     for c in count(1):
         y, r, g = 2, 1, 1
         while g == 1:
-            x = y
+            if (steps := steps + r) > _RHO_BUDGET:
+                raise QuadFieldError(f"hypothesis the factorization of n is "
+                                     f"within the Pollard rho budget of "
+                                     f"{_RHO_BUDGET} steps fails: n = {n}")
+            x, q = y, 1
             for _ in range(r):
                 y = (y * y + c) % n
-                if (g := gcd(x - y, n)) != 1:
-                    break
+                q = q * (x - y) % n
+            if (g := gcd(q, n)) == n:
+                y = x
+                for _ in range(r):
+                    y = (y * y + c) % n
+                    if (g := gcd(x - y, n)) != 1:
+                        break
             r *= 2
         if g != n:
             return g
@@ -301,25 +317,28 @@ def reduce_form(f, with_transform: bool = False):
     return fr
 
 
+_DISC_BOUND = 10 ** 10     # largest |D| whose reduced forms are listed
+
+
 @lru_cache(maxsize=None)
 def reduced_forms(D: int):
-    """All reduced forms of discriminant D, sorted lexicographically by (a, b)."""
+    """All reduced forms of discriminant D, sorted lexicographically by (a, b).
+
+    For each a <= sqrt(|D|/3) the b of the primitive ideals of norm a are the
+    roots of b^2 = D mod 4a in (-a, a], increasing; (a, b, c) is reduced when
+    c > a, or c = a and b >= 0.  Past |D| = _DISC_BOUND, where the class group
+    of a slow D (large h, not cyclic) first takes about 10 s, D is refused
+    before any form is listed."""
     validate_discriminant(D)
+    if -D > _DISC_BOUND:
+        raise QuadFieldError(f"hypothesis |D| <= {_DISC_BOUND} for the class "
+                             f"group fails: |D| = {-D}")
     out = []
-    amax = isqrt(-D // 3)
-    for a in range(1, amax + 1):
-        for b in range(-a + 1, a + 1):
-            if (b * b - D) % (4 * a) != 0:
-                continue
+    for a in range(1, isqrt(-D // 3) + 1):
+        for (_, _, b) in primitive_ideals_of_norm(D, a):
             c = (b * b - D) // (4 * a)
-            if c < a:
-                continue
-            if (abs(b) == a or a == c) and b < 0:
-                continue
-            if gcd(gcd(a, abs(b)), c) != 1:
-                continue  # D squarefree makes this vacuous, kept as a guard
-            out.append((a, b, c))
-    out.sort()
+            if c > a or (c == a and b >= 0):
+                out.append((a, b, c))
     return tuple(out)
 
 
@@ -560,9 +579,8 @@ class ClassGroup:
     """
 
     def __init__(self, D: int):
-        validate_discriminant(D)
         self.D = D
-        self.forms = reduced_forms(D)
+        self.forms = reduced_forms(D)     # validates D
         self.h = len(self.forms)
         self._index = {f: i for i, f in enumerate(self.forms)}
         self._mult = {}
@@ -592,25 +610,40 @@ class ClassGroup:
         return r
 
     def _decompose(self):
-        """Cyclic decomposition: generators g_i with orders d_1 | ... pattern
-        chosen greedily by maximal order in the remaining quotient.  Also
-        returns the discrete-log table: each class mapped to its exponents
-        over the generators."""
+        """Cyclic decomposition: generators g_i with orders d_i, each the
+        smallest class index of maximal order in the remaining quotient
+        G/<g_1, ..., g_(i-1)>, adjusted so that g_i^(d_i) = 1.  Also returns
+        the discrete-log table: each class mapped to its exponents over the
+        generators.  Orders in the quotient come from pow against a known
+        multiple, |G/<gens>|; the one walk lists the span of a generating
+        set, h compositions in all."""
+        # xs generate G: each lies outside the span of those before it.  The
+        # span grows by one coset of its old self per power of x until a
+        # power falls in it, and so in the old span (x^j in old * x^i puts
+        # x^(j-i) there)
+        span, xs = {self.identity}, []
+        for x in range(self.h):
+            if x not in span:
+                xs.append(x)
+                r, old = x, list(span)
+                while r not in span:
+                    span.update(self.mult(s, r) for s in old)
+                    r = self.mult(r, x)
         gens = []
         subgroup = {self.identity: ()}     # <gens>, with exponents over gens
         while len(subgroup) < self.h:
-            # order of the image of g in G/<gens>: min k with g^k in subgroup
-            best, best_ord = None, 1
-            for g in range(self.h):
-                if g in subgroup:
-                    continue
-                r, k = g, 1
-                while r not in subgroup:
-                    r = self.mult(r, g)
-                    k += 1
-                if k > best_ord:
-                    best, best_ord = g, k
-            g, d = best, best_ord
+            # the maximal order d in G/<gens> is its exponent, which divides
+            # |G/<gens>|: as the xs generate G, divide each prime l out while
+            # every x^(d/l) stays in the subgroup; then take the smallest
+            # index of order d
+            d = self.h // len(subgroup)
+            for l in factorint(d):
+                while d % l == 0 and all(self.pow(x, d // l) in subgroup
+                                         for x in xs):
+                    d //= l
+            ls = factorint(d)                  # the primes l of d
+            g = next(g for g in range(self.h)
+                     if all(self.pow(g, d // l) not in subgroup for l in ls))
             # adjust so g^d is the identity, not just inside the subgroup:
             # g^d = prod gi^ei, so divide out prod gi^(ei/d)
             for (gi, _), e in zip(gens, subgroup[self.pow(g, d)]):

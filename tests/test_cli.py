@@ -211,6 +211,39 @@ def test_padic_character_at_a_12_digit_split_prime_comes_at_once():
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, key, value", [
+    (("classgroup", "--disc", "-1000000007"), "class_number", 26629),
+    (("params", "--disc", "-100000007", "--ell", "2"), "p", 11),
+])
+def test_large_class_groups_come_at_once(argv, key, value):
+    # the generator orders are read off pow against |G/<gens>|: walking each
+    # class to its order in the quotient finished neither line in 30 s
+    proc = subprocess.run([sys.executable, "-m", "padicheights", *argv],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)[key] == value
+
+
+@pytest.mark.parametrize("argv, hypothesis", [
+    (("ideals", "--disc", "-7", "--norm",
+      "300000000000000001940000000000000002091"),
+     "the factorization of n is within the Pollard rho budget of 4194304 "
+     "steps fails: n = 300000000000000001940000000000000002091"),
+    (("classgroup", "--disc", "-10000000003"),
+     "|D| <= 10000000000 for the class group fails: |D| = 10000000003"),
+])
+def test_past_a_budget_is_refused_at_once(argv, hypothesis):
+    # two 20-digit primes are past Pollard rho's budget (the line ran past
+    # 30 s without one), and -10000000003 is past the |D| bound, which is
+    # checked before any form is listed
+    proc = subprocess.run([sys.executable, "-m", "padicheights", *argv],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"padicheights: hypothesis {hypothesis}\n"
+
+
 @pytest.mark.parametrize("extra", [
     ("--mode", "complex", "--prec", "-5"),
     ("--mode", "complex", "--prec", "0"),

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from padicheights import quadfield as qf
 from padicheights.quadfield import KElem, QuadFieldError
+from testkit import reduced_forms_by_scan
 
 
 def valid_discs(limit):
@@ -140,6 +141,24 @@ def test_factorint_and_divisors_match_sympy():
         assert qf.divisors(n) == sympy.divisors(n), n
 
 
+def test_factorint_within_the_rho_budget():
+    # a 25-digit semiprime of two 13-digit primes splits in about 3.2 million
+    # of the 4,194,304 steps
+    assert qf._RHO_BUDGET == 1 << 22
+    assert qf.factorint(9900000000165900000000533) == {
+        3000000000013: 1, 3300000000041: 1}
+
+
+def test_factorint_past_the_rho_budget(monkeypatch):
+    monkeypatch.setattr(qf, "_RHO_BUDGET", 1000)
+    n = 100000007 * 1000000007
+    with pytest.raises(QuadFieldError) as err:
+        qf.factorint(n)
+    assert str(err.value) == (
+        "hypothesis the factorization of n is within the Pollard rho budget "
+        f"of 1000 steps fails: n = {n}")
+
+
 def test_roots_mod_p_match_enumeration():
     # every unit a and d <= 24 at the odd primes below 200 and four primes
     # with larger 2- and 3-parts in p - 1, against r^d mod p grouped by a
@@ -184,6 +203,23 @@ def test_reduced_forms_frozen():
     assert qf.reduced_forms(-23) == ((1, 1, 6), (2, -1, 3), (2, 1, 3))
     assert qf.class_number(-47) == 5
     assert qf.class_number(-15) == 2
+
+
+def test_reduced_forms_match_scan_oracle():
+    # reduced_forms takes each b from the CRT roots of
+    # primitive_ideals_of_norm; the oracle tries every b in (-a, a]
+    discs = valid_discs(-19999)
+    assert len(discs) == 4054
+    for D in discs:
+        assert qf.reduced_forms(D) == reduced_forms_by_scan(D), D
+
+
+def test_reduced_forms_refuse_past_the_disc_bound():
+    # checked before any form is listed, so the refusal comes at once
+    with pytest.raises(QuadFieldError) as err:
+        qf.reduced_forms(-10000000003)
+    assert str(err.value) == ("hypothesis |D| <= 10000000000 for the class "
+                              "group fails: |D| = 10000000003")
 
 
 def test_reduced_forms_sorted_and_reduced():
@@ -283,6 +319,22 @@ def test_class_group_decomposition_is_pinned():
                             [G.dlog(i) for i in range(G.h)])).encode())
     assert digest.hexdigest() == (
         "49100d07d8937c9870a6d054a5262f0826eb1f49bcd9468021248b60cf0a074e")
+
+
+def test_class_group_decomposition_is_pinned_to_20000():
+    # the same pin over the 3,647 supported fields with -20000 < D <= -2000
+    # (h <= 213), taken when each class was walked to its order in the
+    # quotient: reading the orders off pow keeps every generator and dlog
+    import hashlib
+    digest = hashlib.sha256()
+    discs = [D for D in valid_discs(-19999) if D <= -2000]
+    assert len(discs) == 3647
+    for D in discs:
+        G = qf.ClassGroup(D)
+        digest.update(repr((D, G.generators,
+                            [G.dlog(i) for i in range(G.h)])).encode())
+    assert digest.hexdigest() == (
+        "22234d040d5e94b1b9f132ac558fe9cf50b5eaed5eeb13864ab5b5198c30f692")
 
 
 # ---------------------------------------------------------------------------

@@ -5,19 +5,19 @@ path of a report's JSON schema, and the reference computations that no
 command runs: the truncated exponential polynomials p_m, the Laplace
 integral oracle (termwise Gamma integrals, the one mpmath user here), the
 holomorphic-projection coefficient transforms, the coefficient extraction
-residual and the Teichmuller lift.
+residual, the Teichmuller lift and the reduced forms by a scan over b.
 """
 
 import ast
 import importlib
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, isqrt
 from pathlib import Path
 
 from padicheights import cli
 from padicheights.padic import PadicError, PadicNumber
 from padicheights.polykit import PolyError, RationalPoly, _guard_order, h_poly
-from padicheights.quadfield import lift_root
+from padicheights.quadfield import lift_root, validate_discriminant
 
 
 # ---------------------------------------------------------------------------
@@ -135,3 +135,23 @@ def teichmuller(p: int, x: int, N: int) -> PadicNumber:
     if x % p == 0:
         raise PadicError("Teichmuller lift needs a unit")
     return PadicNumber(p, 0, lift_root(p, x % p, 1, p - 1, N), N)
+
+
+# ---------------------------------------------------------------------------
+# reduced forms
+
+def reduced_forms_by_scan(D: int) -> tuple:
+    """The reduced forms of discriminant D, sorted by (a, b), by trying every
+    b in (-a, a] for each a <= sqrt(|D|/3): O(|D|) steps."""
+    validate_discriminant(D)
+    out = []
+    for a in range(1, isqrt(-D // 3) + 1):
+        for b in range(-a + 1, a + 1):
+            if (b * b - D) % (4 * a) != 0:
+                continue
+            c = (b * b - D) // (4 * a)
+            if c < a or ((abs(b) == a or a == c) and b < 0):
+                continue
+            if gcd(gcd(a, abs(b)), c) == 1:
+                out.append((a, b, c))
+    return tuple(sorted(out))
