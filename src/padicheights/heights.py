@@ -501,6 +501,7 @@ class HeightContext:
                                   f"Q(sqrt({D})), but every prime of N must split")
         if n_prec < 1:
             raise HeightError("target precision must be >= 1")
+        _require_norm_bound(-D)     # every index m >= 1 reads norms to m|D|
         self.D, self.aD = D, -D
         self.level, self.p, self.r, self.k = level, p, r, k
         self.n_prec = n_prec

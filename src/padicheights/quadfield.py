@@ -335,7 +335,7 @@ def reduced_forms(D: int):
                              f"group fails: |D| = {-D}")
     out = []
     for a in range(1, isqrt(-D // 3) + 1):
-        for (_, _, b) in primitive_ideals_of_norm(D, a):
+        for (_, _, b) in primitive_ideals_of_norm(D, factorint(a)):
             c = (b * b - D) // (4 * a)
             if c > a or (c == a and b >= 0):
                 out.append((a, b, c))
@@ -536,8 +536,14 @@ def ideal_of_form(D: int, f):
     return normalize_ideal(D, 1, a, b)
 
 
+@lru_cache(maxsize=None)
+def form_index(D: int) -> dict:
+    """Each reduced form of discriminant D mapped to its class index."""
+    return {f: i for i, f in enumerate(reduced_forms(D))}
+
+
 def class_index_of_ideal(D: int, ideal) -> int:
-    return reduced_forms(D).index(form_of_ideal(D, ideal))
+    return form_index(D)[form_of_ideal(D, ideal)]
 
 
 def element_in_ideal(D: int, ideal, z: KElem) -> bool:
@@ -582,7 +588,7 @@ class ClassGroup:
         self.D = D
         self.forms = reduced_forms(D)     # validates D
         self.h = len(self.forms)
-        self._index = {f: i for i, f in enumerate(self.forms)}
+        self._index = form_index(D)
         self._mult = {}
         self.identity = self._index[principal_form(D)]
         self.generators, self._dlog = self._decompose()
@@ -729,18 +735,19 @@ def _sqrt_odd_mod_power_of_two(D: int, t: int) -> list[int]:
     return sorted({x % m, -x % m})
 
 
-def primitive_ideals_of_norm(D: int, n: int) -> list:
-    """Primitive integral ideals of norm n: all (1, n, b) with b^2 = D mod 4n."""
-    if n <= 0:
-        return []
-    f = factorint(n)
-    t = f.pop(2, 0)
+def primitive_ideals_of_norm(D: int, f: dict) -> list:
+    """Primitive integral ideals of norm n, given as its factorization
+    f = {prime q: exponent e >= 1} (n = prod q^e >= 1, so {} is n = 1): all
+    (1, n, b) with b^2 = D mod 4n."""
+    t = f.get(2, 0)
     roots2 = _sqrt_odd_mod_power_of_two(D, t)
     if not roots2:
         return []
     crt_mod = 1 << (t + 1)
     crt_roots = roots2
     for q, e in f.items():
+        if q == 2:
+            continue
         if D % q == 0:
             if e > 1:
                 return []
@@ -759,6 +766,7 @@ def primitive_ideals_of_norm(D: int, n: int) -> list:
                      for r1 in crt_roots for r2 in qroots]
         crt_mod *= qmod
     # crt_mod is now 2^(t+1) * prod q^e = 2n: each root is the one b mod 2n
+    n = crt_mod // 2
     out = []
     for b in crt_roots:
         if (b * b - D) % (4 * n) != 0:
@@ -770,20 +778,18 @@ def primitive_ideals_of_norm(D: int, n: int) -> list:
 def ideals_of_norm(D: int, n) -> list:
     """All integral ideals of norm n as (ideal, class index) pairs, none
     unless n is a positive integer (r(0) = 0): e * (primitive ideal of
-    norm n / e^2) for e | prod q^(k // 2), n = prod q^k."""
-    validate_discriminant(D)
+    norm n / e^2) for e | prod q^(k // 2), n = prod q^k.  n is factored
+    once: each e comes with the factorization of n / e^2."""
+    index = form_index(D)                   # validates D
     if n != int(n) or n <= 0:
         return []
-    n = int(n)
-    es = [1]
-    for q, k in factorint(n).items():
-        es = [e * q ** i for e in es for i in range(k // 2 + 1)]
-    out = []
-    for e in es:
-        for (_, a, b) in primitive_ideals_of_norm(D, n // (e * e)):
-            ideal = (e, a, b)
-            out.append((ideal, class_index_of_ideal(D, ideal)))
-    return sorted(out)
+    parts = [(1, {})]
+    for q, k in factorint(int(n)).items():
+        parts = [(e * q ** i, {**f, q: k - 2 * i} if 2 * i < k else f)
+                 for e, f in parts for i in range(k // 2 + 1)]
+    return sorted(((e, a, b), index[form_of_ideal(D, (e, a, b))])
+                  for e, f in parts
+                  for (_, a, b) in primitive_ideals_of_norm(D, f))
 
 
 def count_rA(D: int, class_index: int, n) -> int:
@@ -809,21 +815,24 @@ def discriminant_factorizations(D: int) -> list:
 def class_norm(D: int, class_index: int) -> int:
     """A norm of an ideal in the class that is coprime to D.
 
-    The reduced form's leading coefficient when gcd(a, D) = 1, else the
-    smallest represented positive integer coprime to D.
+    The reduced form's leading coefficient a when gcd(a, D) = 1, else
+    Q(u, w) for the first u, w >= 0 in diagonal order (u + w = 1, 2, ...)
+    with gcd(Q(u, w), D) = 1.  A primitive form represents such a value
+    (Cox, Lemma 2.25), so the search ends, and the first hit has
+    gcd(u, w) = 1, since Q(g u, g w) = g^2 Q(u, w).  Which such norm is
+    returned does not matter to a caller: every norm prime to D of one
+    class lies in one genus, and callers read only its genus characters
+    (D2/.).
     """
     a, b, c = reduced_forms(D)[class_index]
     if gcd(a, D) == 1:
         return a
-    best = None
-    for s in range(-c, c + 1):
-        for t in range(-a, a + 1):
-            v = a * s * s + b * s * t + c * t * t
-            if v > 0 and gcd(v, D) == 1 and (best is None or v < best):
-                best = v
-    if best is None:
-        raise QuadFieldError("no represented norm coprime to D found")
-    return best
+
+    def q(u, w):
+        return a * u * u + b * u * w + c * w * w
+
+    return next(v for s in count(1) for u in range(s + 1)
+                if gcd(v := q(u, s - u), D) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -858,8 +867,6 @@ def admissible_params(D: int, p: int | None = None,
             continue
         if any(kronecker(D, q) != 1 for q in f):
             continue
-        if kronecker(D, N) != 1:
-            continue  # vacuous given split factors, kept as the stated contract
         if fixed_p is not None:
             if N % fixed_p != 0:
                 return (N, fixed_p)

@@ -170,12 +170,14 @@ def test_criterion_05_theta_lattice_identity():
 def _genus_cases(ch, j_bound):
     from padicheights.quadfield import (class_index_of_ideal,
                                         discriminant_factorizations,
-                                        primitive_ideals_of_norm)
+                                        factorint, primitive_ideals_of_norm)
     D = ch.D
     G = ch.group
     for D1, D2 in discriminant_factorizations(D):
-        c1 = class_index_of_ideal(D, primitive_ideals_of_norm(D, abs(D1))[0])
-        chi2 = ch.chi_value(primitive_ideals_of_norm(D, abs(D2))[0])
+        r1, r2 = (primitive_ideals_of_norm(D, factorint(abs(Di)))[0]
+                  for Di in (D1, D2))
+        c1 = class_index_of_ideal(D, r1)
+        chi2 = ch.chi_value(r2)
         inv2 = chi2.inv()
         for A in range(G.h):
             shifted = G.mult(A, G.inv(c1))
@@ -184,11 +186,11 @@ def _genus_cases(ch, j_bound):
 
 
 def _hecke_cases(ch, p, m_bound):
-    from padicheights.quadfield import (class_index_of_ideal, ideal_conj,
-                                        primitive_ideals_of_norm)
+    from padicheights.quadfield import (class_index_of_ideal, factorint,
+                                        ideal_conj, primitive_ideals_of_norm)
     D = ch.D
     G = ch.group
-    P = primitive_ideals_of_norm(D, p)[0]
+    P = primitive_ideals_of_norm(D, factorint(p))[0]
     Pb = ideal_conj(D, P)
     cP = class_index_of_ideal(D, P)
     cPb = class_index_of_ideal(D, Pb)

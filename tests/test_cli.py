@@ -225,6 +225,40 @@ def test_large_class_groups_come_at_once(argv, key, value):
     assert json.loads(proc.stdout)[key] == value
 
 
+@pytest.mark.parametrize("argv, sha256", [
+    (("--disc", "-30000363", "--level", "11", "--class", "1", "--n", "12",
+      "--p", "17"),
+     "a3e1fc494b20da6bdbbb6254626fa0ecb076942b8f1ddae7a738b558717450b2"),
+    (("--disc", "-2000090039", "--level", "3", "--class", "531", "--n", "5",
+      "--p", "7"), None),
+])
+def test_sigma_where_a_shares_a_prime_with_D_comes_at_once(argv, sha256):
+    # both classes' reduced forms have gcd(a, D) > 1; class_norm scanned an
+    # O(|D|) grid for a norm prime to D, 16 s on the first line and over
+    # 30 s on the second; the first line's bytes were recorded then
+    proc = subprocess.run([sys.executable, "-m", "padicheights", "sigma",
+                           *argv, "--prec", "5"],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if sha256 is not None:
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == sha256
+
+
+def test_height_context_refuses_a_large_disc_before_its_tables():
+    # every index m >= 1 reads lattice norms up to m|D| >= 10^9 here; the
+    # context's Kronecker tables of 10^9 entries took over 90 s to list
+    proc = subprocess.run(
+        [sys.executable, "-m", "padicheights", "bc-check", "--disc",
+         "-1000000007", "--level", "3", "--p", "7", "--r", "2", "--k", "1",
+         "--mmax", "1", "--prec", "5"],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("padicheights: lattice norms up to 1000000007 "
+                           "exceed the exactness bound 1000000000\n")
+
+
 @pytest.mark.parametrize("argv, hypothesis", [
     (("ideals", "--disc", "-7", "--norm",
       "300000000000000001940000000000000002091"),

@@ -14,9 +14,10 @@ from padicheights.heckechar import (CharBuildError, _residue_root,
                                     theta_coeffs)
 from padicheights.quadfield import (KElem, class_index_of_ideal,
                                     count_rA, discriminant_factorizations,
-                                    element_in_ideal, ideal_conj, ideal_mult,
-                                    ideal_norm, ideal_of_form, ideals_of_norm,
-                                    primitive_ideals_of_norm, unit_ideal)
+                                    element_in_ideal, factorint, ideal_conj,
+                                    ideal_mult, ideal_norm, ideal_of_form,
+                                    ideals_of_norm, primitive_ideals_of_norm,
+                                    unit_ideal)
 
 
 @lru_cache(maxsize=None)
@@ -179,7 +180,8 @@ def test_chi_of_sqrtD_ideal_is_D_to_k():
              char(-23, 2, "complex"), char(-23, 4, "complex")]
     for ch in cases:
         dk = ch.D ** ch.k
-        v = ch.chi_value(primitive_ideals_of_norm(ch.D, abs(ch.D))[0])
+        v = ch.chi_value(
+            primitive_ideals_of_norm(ch.D, factorint(abs(ch.D)))[0])
         assert ch.close(v, ch.embed(KElem(ch.D, dk, 0)), scale=abs(dk))
 
 
@@ -348,7 +350,7 @@ def genus_cases(ch, j_bound):
     G = ch.group
     with ch._ctx():
         for D1, D2 in discriminant_factorizations(D):
-            r1, r2 = (primitive_ideals_of_norm(D, abs(Di))[0]
+            r1, r2 = (primitive_ideals_of_norm(D, factorint(abs(Di)))[0]
                       for Di in (D1, D2))
             c1 = class_index_of_ideal(D, r1)
             chi2 = ch.chi_value(r2)
@@ -386,7 +388,7 @@ def hecke_pair(ch, A, m, p):
     """LHS/RHS pairs for the degree-p and degree-p^2 shift relations."""
     D = ch.D
     G = ch.group
-    P = primitive_ideals_of_norm(D, p)[0]
+    P = primitive_ideals_of_norm(D, factorint(p))[0]
     Pb = ideal_conj(D, P)
     cP = class_index_of_ideal(D, P)
     cPb = class_index_of_ideal(D, Pb)

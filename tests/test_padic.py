@@ -457,7 +457,7 @@ def test_sigma_prime_power_factor_rule():
     # h = 3, p = 29 split in Q(sqrt(-23)): the class moves by [pr]^t
     D, p2 = -23, 29
     G = qf.class_group(D)
-    pr = qf.primitive_ideals_of_norm(D, p2)[0]
+    pr = qf.primitive_ideals_of_norm(D, qf.factorint(p2))[0]
     cp = qf.class_index_of_ideal(D, pr)
     for ci in range(G.h):
         cn = qf.class_norm(D, ci)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from padicheights import quadfield as qf
 from padicheights.quadfield import KElem, QuadFieldError
-from testkit import reduced_forms_by_scan
+from testkit import class_norm_by_grid, reduced_forms_by_scan
 
 
 def valid_discs(limit):
@@ -375,7 +375,8 @@ def test_primitive_ideals_match_odd_b_scan(D):
         brute = sorted(qf.normalize_ideal(D, 1, n, b)
                        for b in range(1, 2 * n, 2)
                        if (b * b - D) % (4 * n) == 0)
-        assert qf.primitive_ideals_of_norm(D, n) == brute, (D, n)
+        assert (qf.primitive_ideals_of_norm(D, qf.factorint(n))
+                == brute), (D, n)
 
 
 @pytest.mark.parametrize("D", [-7, -15, -23, -55, -195])
@@ -384,11 +385,30 @@ def test_ideals_of_norm_match_every_square_divisor(D):
     # tries every e <= sqrt(n) with e^2 | n
     def by_definition(n):
         ideals = [(e, a, b) for e in range(1, isqrt(n) + 1) if n % (e * e) == 0
-                  for (_, a, b) in qf.primitive_ideals_of_norm(D, n // (e * e))]
+                  for (_, a, b) in qf.primitive_ideals_of_norm(
+                      D, qf.factorint(n // (e * e)))]
         return sorted((i, qf.class_index_of_ideal(D, i)) for i in ideals)
     for n in [*range(1, 3000), 3 ** 4 * 11 ** 2, 2 ** 6 * 5 ** 4, 7 ** 6,
               2 ** 4 * 3 ** 4 * 5 ** 2 * 11 ** 2, 3 ** 8 * 13 ** 3]:
         assert qf.ideals_of_norm(D, n) == by_definition(n), (D, n)
+
+
+def test_ideals_of_norm_factor_n_once(monkeypatch):
+    # every e with e^2 | n comes with the factorization of n / e^2, so no
+    # n / e^2 is factored again
+    qf.form_index(-7)               # the reduced forms factor each a
+    calls, real = [], qf.factorint
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+    monkeypatch.setattr(qf, "factorint", counted)
+    n = 3 ** 4 * 11 ** 2 * 29
+    # 3 is inert (only e = 9), 11 and 29 split: 3 * 2 ideals
+    assert len(qf.ideals_of_norm(-7, n)) == 6
+    # the other calls factor the degree 2 of a square root mod q, and 2
+    # does not divide n
+    assert [m for m in calls if n % m == 0] == [n]
 
 
 def test_count_rA_nonpositive_and_fractional():
@@ -517,20 +537,20 @@ def test_split_type():
 def test_prime_ideal_above():
     # the ideals of norm p not divisible by an integer: the primes above p
     D = -7
-    ps = qf.primitive_ideals_of_norm(D, 11)
+    ps = qf.primitive_ideals_of_norm(D, qf.factorint(11))
     assert len(ps) == 2
     assert qf.ideal_mult(D, ps[0], ps[1]) == (11, 1, 1)
-    assert qf.primitive_ideals_of_norm(D, 3) == []    # 3 is inert
-    ram = qf.primitive_ideals_of_norm(D, 7)
+    assert qf.primitive_ideals_of_norm(D, qf.factorint(3)) == []  # inert
+    ram = qf.primitive_ideals_of_norm(D, qf.factorint(7))
     assert len(ram) == 1 and qf.ideal_norm(ram[0]) == 7
 
 
 def test_ramified_ideal():
-    assert qf.primitive_ideals_of_norm(-15, 1)[0] == (1, 1, 1)
-    r5 = qf.primitive_ideals_of_norm(-15, 5)[0]
+    assert qf.primitive_ideals_of_norm(-15, qf.factorint(1))[0] == (1, 1, 1)
+    r5 = qf.primitive_ideals_of_norm(-15, qf.factorint(5))[0]
     assert qf.ideal_norm(r5) == 5
     assert qf.ideal_pow(-15, r5, 2) == (5, 1, 1)
-    r3 = qf.primitive_ideals_of_norm(-15, 3)[0]
+    r3 = qf.primitive_ideals_of_norm(-15, qf.factorint(3))[0]
     assert qf.ideal_norm(r3) == 3
 
 
@@ -541,7 +561,7 @@ def test_ramified_ideal_sweep():
     assert len(discs) == 407
     for D in discs:
         for D1, _ in qf.discriminant_factorizations(D):
-            ideals = qf.primitive_ideals_of_norm(D, abs(D1))
+            ideals = qf.primitive_ideals_of_norm(D, qf.factorint(abs(D1)))
             assert len(ideals) == 1, (D, D1)
             assert qf.ideal_pow(D, ideals[0], 2) == (abs(D1), 1, 1), (D, D1)
 
@@ -564,6 +584,25 @@ def test_class_norm():
     ci = forms.index((3, 3, 4))
     n = qf.class_norm(-39, ci)
     assert gcd(n, 39) == 1 and qf.count_rA(-39, ci, n) > 0
+
+
+def test_class_norm_has_the_genus_of_the_grid_norm():
+    # class_norm takes the first value prime to D in diagonal order, not the
+    # smallest over the O(|D|) grid; the two may differ, but every norm
+    # prime to D of one class lies in one genus, the one thing that callers
+    # read
+    checked = 0
+    for D in valid_discs(-4999):
+        splits = qf.discriminant_factorizations(D)
+        for ci, (a, _, _) in enumerate(qf.reduced_forms(D)):
+            if gcd(a, D) == 1:
+                continue
+            n, grid = qf.class_norm(D, ci), class_norm_by_grid(D, ci)
+            assert gcd(n, D) == 1, (D, ci)
+            assert all(qf.kronecker(D2, n) == qf.kronecker(D2, grid)
+                       for _, D2 in splits), (D, ci, n, grid)
+            checked += 1
+    assert checked == 2712
 
 
 # ---------------------------------------------------------------------------

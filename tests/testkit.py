@@ -5,7 +5,8 @@ path of a report's JSON schema, and the reference computations that no
 command runs: the truncated exponential polynomials p_m, the Laplace
 integral oracle (termwise Gamma integrals, the one mpmath user here), the
 holomorphic-projection coefficient transforms, the coefficient extraction
-residual, the Teichmuller lift and the reduced forms by a scan over b.
+residual, the Teichmuller lift, the reduced forms by a scan over b and a
+class norm prime to D by a scan of a grid.
 """
 
 import ast
@@ -17,7 +18,8 @@ from pathlib import Path
 from padicheights import cli
 from padicheights.padic import PadicError, PadicNumber
 from padicheights.polykit import PolyError, RationalPoly, _guard_order, h_poly
-from padicheights.quadfield import lift_root, validate_discriminant
+from padicheights.quadfield import (lift_root, reduced_forms,
+                                    validate_discriminant)
 
 
 # ---------------------------------------------------------------------------
@@ -155,3 +157,12 @@ def reduced_forms_by_scan(D: int) -> tuple:
             if gcd(gcd(a, abs(b)), c) == 1:
                 out.append((a, b, c))
     return tuple(sorted(out))
+
+
+def class_norm_by_grid(D: int, class_index: int) -> int:
+    """The smallest value prime to D of the class's reduced form (a, b, c)
+    over the grid |s| <= c, |t| <= a: O(a c) = O(|D|) steps."""
+    a, b, c = reduced_forms(D)[class_index]
+    return min(v for s in range(-c, c + 1) for t in range(-a, a + 1)
+               if (v := a * s * s + b * s * t + c * t * t) > 0
+               and gcd(v, D) == 1)
